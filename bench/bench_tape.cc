@@ -4,9 +4,11 @@
  * production feature tape (a dense-matmul sketch's 82 feature
  * formulas), scalar vs. batched SoA, forward-only and
  * forward+backward, plus the batched MLP kernels the points feed and
- * the Adam parameter update, and the end-to-end surrogate descent
- * step (grad_search_step: scalar reference, unfused batch, fused,
- * fused + tape JIT). Every batched benchmark runs once per
+ * the Adam parameter update, one cost-model training step at the
+ * fine-tune shape (mlp_train_step: the per-sample reference loop and
+ * the blocked kernels), and the end-to-end surrogate descent step
+ * (grad_search_step: scalar reference, fused, fused + tape JIT).
+ * Every batched benchmark runs once per
  * available SIMD backend (scalar fallback, SSE2, AVX2, AVX-512 —
  * whatever this build and CPU support), so one run shows the whole
  * width sweep. Instruction counts before/after the tape optimizer
@@ -33,6 +35,7 @@
 #include "expr/compiled.h"
 #include "features/features.h"
 #include "jit/jit.h"
+#include "mlp_train_oracle.h"
 #include "obs/json.h"
 #include "optim/adam.h"
 #include "rewrite/smoothing.h"
@@ -351,8 +354,7 @@ BM_GradSearchStepScalar(benchmark::State &state)
 }
 
 void
-gradSearchStepBatchImpl(benchmark::State &state, bool fused,
-                        bool useJit)
+gradSearchStepFusedImpl(benchmark::State &state, bool useJit)
 {
     const auto &tape = objectiveTape();
     const auto &model = benchModel();
@@ -368,9 +370,6 @@ gradSearchStepBatchImpl(benchmark::State &state, bool fused,
                                   /*numPenalties=*/0,
                                   /*lambda=*/10.0);
     std::vector<double> inputs = init;
-    std::vector<double> outputs(numFeatures * L);
-    std::vector<double> outputGrads(numFeatures * L);
-    std::vector<double> modelGrads(numFeatures * L);
     std::vector<double> inputGrads(numVars * L);
     std::vector<double> laneGrad(numVars), yLane(numVars);
     double scores[kBatchLanes];
@@ -382,23 +381,8 @@ gradSearchStepBatchImpl(benchmark::State &state, bool fused,
     for (auto _ : state) {
         if ((iter++ & 127) == 0)
             inputs = init;
-        if (fused) {
-            step.run(inputs.data(), L, scores, inputGrads.data(),
-                     evalState, predict);
-        } else {
-            tape.forwardBatch(inputs.data(), L, outputs.data(),
-                              evalState);
-            model.predictTransformedWithGradBatch(
-                outputs.data(), scores, modelGrads.data(), predict);
-            std::fill(outputGrads.begin(), outputGrads.end(), 0.0);
-            for (size_t k = 0; k < numFeatures; ++k) {
-                const size_t row = k * L;
-                for (size_t l = 0; l < L; ++l)
-                    outputGrads[row + l] = -modelGrads[row + l];
-            }
-            tape.backwardBatch(outputGrads.data(), inputGrads.data(),
-                               evalState);
-        }
+        step.run(inputs.data(), L, scores, inputGrads.data(),
+                 evalState, predict);
         for (size_t l = 0; l < L; ++l) {
             for (size_t v = 0; v < numVars; ++v) {
                 yLane[v] = inputs[v * L + l];
@@ -420,21 +404,53 @@ gradSearchStepBatchImpl(benchmark::State &state, bool fused,
 }
 
 void
-BM_GradSearchStepBatch(benchmark::State &state)
-{
-    gradSearchStepBatchImpl(state, /*fused=*/false, /*useJit=*/false);
-}
-
-void
 BM_GradSearchStepFused(benchmark::State &state)
 {
-    gradSearchStepBatchImpl(state, /*fused=*/true, /*useJit=*/false);
+    gradSearchStepFusedImpl(state, /*useJit=*/false);
 }
 
 void
 BM_GradSearchStepFusedJit(benchmark::State &state)
 {
-    gradSearchStepBatchImpl(state, /*fused=*/true, /*useJit=*/true);
+    gradSearchStepFusedImpl(state, /*useJit=*/true);
+}
+
+/**
+ * One cost-model training step at the shape fine-tuning runs after
+ * every round (tuner.cc): 80 samples — 16 fresh measurements plus
+ * 64 replayed ones — through the default 82->128->128->64->1
+ * network, at the fine-tune learning rate. samples_per_sec counts
+ * training samples. The per-sample variant is the reference loop
+ * Mlp::trainBatch replaced (tests/mlp_train_oracle.h); both produce
+ * the same bits.
+ */
+template <bool kPerSample>
+void
+BM_MlpTrainStep(benchmark::State &state)
+{
+    constexpr size_t kSamples = 16 + 64;
+    Rng rng(17);
+    costmodel::Mlp mlp(costmodel::MlpConfig{}, rng);
+    std::vector<std::vector<double>> xs(kSamples,
+                                        std::vector<double>(82));
+    std::vector<double> ys(kSamples);
+    for (size_t s = 0; s < kSamples; ++s) {
+        for (double &v : xs[s])
+            v = rng.normal(0.0, 1.0);
+        ys[s] = rng.normal(0.0, 0.5);
+    }
+    for (auto _ : state) {
+        const double loss =
+            kPerSample
+                ? costmodel::MlpTrainOracle::trainBatch(mlp, xs, ys,
+                                                        2e-4)
+                : mlp.trainBatch(xs, ys, 2e-4);
+        benchmark::DoNotOptimize(loss);
+    }
+    state.counters["samples_per_sec"] = benchmark::Counter(
+        static_cast<double>(state.iterations()) *
+            static_cast<double>(kSamples),
+        benchmark::Counter::kIsRate);
 }
 
 void
@@ -607,10 +623,12 @@ main(int argc, char **argv)
     registerWidthVariants("mlp_input_grad/batch",
                           BM_MlpInputGradBatch);
     registerWidthVariants("adam_step", BM_AdamStep);
+    registerScalarEngine("mlp_train_step/per_sample",
+                         BM_MlpTrainStep<true>);
+    registerWidthVariants("mlp_train_step/batch",
+                          BM_MlpTrainStep<false>);
     registerScalarEngine("grad_search_step/scalar",
                          BM_GradSearchStepScalar);
-    registerWidthVariants("grad_search_step/batch",
-                          BM_GradSearchStepBatch);
     registerWidthVariants("grad_search_step/fused",
                           BM_GradSearchStepFused);
     registerWidthVariants("grad_search_step/fused_jit",

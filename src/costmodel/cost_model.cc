@@ -61,7 +61,7 @@ Scaler::save(std::ostream &os) const
     os << "\n";
 }
 
-Scaler
+std::optional<Scaler>
 Scaler::load(std::istream &is, size_t size)
 {
     Scaler scaler;
@@ -71,7 +71,8 @@ Scaler::load(std::istream &is, size_t size)
         is >> m;
     for (double &s : scaler.std_)
         is >> s;
-    FELIX_CHECK(static_cast<bool>(is), "truncated scaler");
+    if (!is)
+        return std::nullopt;
     return scaler;
 }
 
@@ -321,7 +322,7 @@ CostModel::save(const std::string &path) const
     FELIX_CHECK(os.good(), "cannot write cost model to " + path);
     os << "felix-cost-model v1\n";
     mlp_.save(os);
-    os << static_cast<size_t>(config_.layerSizes.front()) << "\n";
+    os << static_cast<size_t>(mlp_.inputSize()) << "\n";
     scaler_.save(os);
     os << targetMean_ << "\n";
 }
@@ -336,18 +337,22 @@ CostModel::tryLoad(const std::string &path)
     is >> word1 >> word2;
     if (word1 != "felix-cost-model" || word2 != "v1")
         return std::nullopt;
-    Mlp mlp = Mlp::load(is);
+    std::optional<Mlp> mlp = Mlp::load(is);
+    if (!mlp)
+        return std::nullopt;
     size_t scalerSize = 0;
     is >> scalerSize;
-    Scaler scaler = Scaler::load(is, scalerSize);
+    if (!is || scalerSize != static_cast<size_t>(mlp->inputSize()))
+        return std::nullopt;
+    std::optional<Scaler> scaler = Scaler::load(is, scalerSize);
     double targetMean = 0.0;
     is >> targetMean;
-    if (!is)
+    if (!scaler || !is)
         return std::nullopt;
 
     CostModel model;
-    model.mlp_ = std::move(mlp);
-    model.scaler_ = std::move(scaler);
+    model.mlp_ = std::move(*mlp);
+    model.scaler_ = std::move(*scaler);
     model.targetMean_ = targetMean;
     return model;
 }
@@ -374,20 +379,26 @@ CostModel::loadState(std::istream &is)
     is >> word1 >> word2;
     if (word1 != "felix-cost-model-state" || word2 != "v1")
         return std::nullopt;
-    Mlp mlp = Mlp::loadFull(is);
+    std::optional<Mlp> mlp = Mlp::loadFull(is);
+    if (!mlp)
+        return std::nullopt;
+    // 0 marks a model whose scaler was never fitted.
     size_t scalerSize = 0;
     is >> scalerSize;
-    Scaler scaler;
+    if (!is || (scalerSize != 0 &&
+                scalerSize != static_cast<size_t>(mlp->inputSize())))
+        return std::nullopt;
+    std::optional<Scaler> scaler = Scaler();
     if (scalerSize > 0)
         scaler = Scaler::load(is, scalerSize);
     double targetMean = 0.0;
     is >> targetMean;
-    if (!is)
+    if (!scaler || !is)
         return std::nullopt;
 
     CostModel model;
-    model.mlp_ = std::move(mlp);
-    model.scaler_ = std::move(scaler);
+    model.mlp_ = std::move(*mlp);
+    model.scaler_ = std::move(*scaler);
     model.targetMean_ = targetMean;
     return model;
 }

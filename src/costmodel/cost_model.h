@@ -41,7 +41,8 @@ class Scaler
     bool fitted() const { return !mean_.empty(); }
 
     void save(std::ostream &os) const;
-    static Scaler load(std::istream &is, size_t size);
+    /** nullopt when the stream runs out or holds a non-number. */
+    static std::optional<Scaler> load(std::istream &is, size_t size);
 
   private:
     std::vector<double> mean_, std_;
@@ -144,6 +145,8 @@ class CostModel
     ModelMetrics validate(const std::vector<Sample> &samples) const;
 
     void save(const std::string &path) const;
+    /** nullopt when the file is missing or malformed in any way
+     *  (pretrainedCostModel then retrains and rewrites it). */
     static std::optional<CostModel> tryLoad(const std::string &path);
 
     /**

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <istream>
 #include <ostream>
+#include <string>
 
 #include "obs/metrics.h"
 #include "simd/kernels.h"
@@ -299,12 +300,139 @@ Mlp::forwardInputGradBatch(const double *x, double *y, double *dx,
         dx[i] = g[i];
 }
 
+/** SoA batches per 16-sample chunk: one, or two at kBatchLanes = 8. */
+static constexpr size_t kTrainChunk = 16;
+static constexpr size_t kBatchesPerChunk =
+    (kTrainChunk + kBatchLanes - 1) / kBatchLanes;
+
+void
+Mlp::trainForwardBackward(const std::vector<std::vector<double>> &xs,
+                          const std::vector<double> &ys, size_t begin,
+                          size_t end, double inv_batch)
+{
+    constexpr size_t L = kBatchLanes;
+    const size_t numLayers = layers_.size();
+    const size_t in0 = static_cast<size_t>(inputSize());
+    const simd::KernelSet &kernels = simd::activeKernels();
+    const size_t chunk = begin / kTrainChunk;
+    double loss = 0.0;
+    for (size_t k = 0; k < kBatchesPerChunk; ++k) {
+        TrainBatch &batch = trainBatches_[chunk * kBatchesPerChunk + k];
+        const size_t s0 = begin + k * L;
+        batch.lanes = s0 < end ? std::min(L, end - s0) : 0;
+        if (batch.lanes == 0)
+            continue;
+        std::vector<AlignedRows> &acts = batch.acts;
+        std::vector<AlignedRows> &adjs = batch.adjs;
+        acts.resize(numLayers + 1);
+        adjs.resize(numLayers);
+        batch.lanesIn.resize(numLayers);
+
+        acts[0].assign(in0 * L, 0.0);  // padding lanes stay finite
+        for (size_t l = 0; l < batch.lanes; ++l) {
+            const std::vector<double> &x = xs[s0 + l];
+            for (size_t i = 0; i < in0; ++i)
+                acts[0][i * L + l] = x[i];
+        }
+        for (size_t li = 0; li < numLayers; ++li)
+            forwardLayerBatch(layers_[li], li + 1 < numLayers,
+                              acts[li], acts[li + 1]);
+
+        // Output adjoint 2*err/n per live lane, +0.0 on padding.
+        adjs.back().assign(L, 0.0);
+        for (size_t l = 0; l < batch.lanes; ++l) {
+            const double err = acts.back()[l] - ys[s0 + l];
+            loss += err * err;
+            adjs.back()[l] = 2.0 * err * inv_batch;
+        }
+        // Input adjoints for layers numLayers-1 .. 1 through the
+        // inference backward kernel (forwardInputGradStaged explains
+        // why its +0.0 masking is bit-exact); nothing reads the input
+        // adjoint of layer 0.
+        for (size_t li = numLayers; li-- > 1;) {
+            const Layer &layer = layers_[li];
+            batch.madj.resize(static_cast<size_t>(layer.out) * L);
+            adjs[li - 1].assign(static_cast<size_t>(layer.in) * L, 0.0);
+            kernels.mlpBackwardLayer(
+                layer.weight.data(), layer.in, layer.out,
+                li + 1 < numLayers, acts[li + 1].data(),
+                adjs[li].data(), batch.madj.data(), adjs[li - 1].data());
+        }
+        // The weight-gradient kernel reduces over lanes, so it reads
+        // each layer's inputs lane-major.
+        for (size_t li = 0; li < numLayers; ++li) {
+            const size_t in = static_cast<size_t>(layers_[li].in);
+            std::vector<double> &lanesIn = batch.lanesIn[li];
+            lanesIn.resize(in * batch.lanes);
+            for (size_t l = 0; l < batch.lanes; ++l)
+                for (size_t i = 0; i < in; ++i)
+                    lanesIn[l * in + i] = acts[li][i * L + l];
+        }
+    }
+    chunkLoss_[chunk] = loss;
+}
+
+void
+Mlp::trainUpdateBlock(TrainBlock &block, size_t num_chunks, double lr,
+                      double corr1, double corr2)
+{
+    constexpr size_t L = kBatchLanes;
+    Layer &layer = layers_[block.layer];
+    const bool hidden = block.layer + 1 < layers_.size();
+    const size_t in = static_cast<size_t>(layer.in);
+    const size_t rows = static_cast<size_t>(block.o1 - block.o0);
+    const size_t o0 = static_cast<size_t>(block.o0);
+    const simd::KernelSet &kernels = simd::activeKernels();
+    block.partial.resize(rows * in);
+    block.partialBias.resize(rows);
+    block.sum.assign(rows * in, 0.0);
+    block.sumBias.assign(rows, 0.0);
+    // Per element: the chunk partial starts at +0.0 and adds the
+    // chunk's open lanes in sample order (a chunk split over two
+    // batches continues its sums), then joins the sum in chunk order
+    // — the per-sample loop's order exactly (docs/tape_engine.md
+    // section 3d).
+    for (size_t c = 0; c < num_chunks; ++c) {
+        for (size_t k = 0; k < kBatchesPerChunk; ++k) {
+            const TrainBatch &batch =
+                trainBatches_[c * kBatchesPerChunk + k];
+            if (batch.lanes == 0)
+                continue;
+            kernels.mlpWeightGradLayer(
+                batch.lanesIn[block.layer].data(),
+                batch.acts[block.layer + 1].data() + o0 * L,
+                batch.adjs[block.layer].data() + o0 * L, layer.in,
+                static_cast<int>(rows), hidden,
+                static_cast<int>(batch.lanes),
+                /*accumulate=*/k > 0, block.partial.data(),
+                block.partialBias.data());
+        }
+        for (size_t i = 0; i < block.sum.size(); ++i)
+            block.sum[i] += block.partial[i];
+        for (size_t o = 0; o < rows; ++o)
+            block.sumBias[o] += block.partialBias[o];
+    }
+    // Adam is elementwise, so updating a block of rows runs the
+    // whole-vector kernel's per-element formula.
+    const double b1 = config_.adamBeta1, b2 = config_.adamBeta2;
+    kernels.adamStep(layer.weight.data() + o0 * in, block.sum.data(),
+                     layer.mWeight.data() + o0 * in,
+                     layer.vWeight.data() + o0 * in, rows * in, b1, b2,
+                     corr1, corr2, lr, config_.adamEps);
+    kernels.adamStep(layer.bias.data() + o0, block.sumBias.data(),
+                     layer.mBias.data() + o0, layer.vBias.data() + o0,
+                     rows, b1, b2, corr1, corr2, lr, config_.adamEps);
+}
+
 double
 Mlp::trainBatch(const std::vector<std::vector<double>> &xs,
                 const std::vector<double> &ys, double lr)
 {
     FELIX_CHECK(!xs.empty() && xs.size() == ys.size(),
                 "trainBatch: bad batch");
+    for (const std::vector<double> &x : xs)
+        FELIX_CHECK(static_cast<int>(x.size()) == inputSize(),
+                    "trainBatch: wrong input size");
     {
         auto &registry = obs::MetricsRegistry::instance();
         registry.counter("costmodel.train_batches").add(1.0);
@@ -313,124 +441,45 @@ Mlp::trainBatch(const std::vector<std::vector<double>> &xs,
     }
     const double invBatch = 1.0 / static_cast<double>(xs.size());
 
-    // Per-sample gradients accumulate into per-chunk partials with a
-    // FIXED chunk size, then reduce in chunk order on this thread —
-    // the floating-point summation order depends only on the batch,
-    // never on --jobs, so training is bit-identical at any pool size.
-    constexpr size_t kChunk = 16;
-    const size_t numChunks = (xs.size() + kChunk - 1) / kChunk;
-    struct ChunkGrads
-    {
-        std::vector<std::vector<double>> gWeight, gBias;
-        double loss = 0.0;
-    };
-    std::vector<ChunkGrads> chunkGrads(numChunks);
+    // Phase 1, per FIXED 16-sample chunk: forward, loss and input
+    // adjoints. The chunking — never --jobs — decides every
+    // floating-point summation order, so training is bit-identical
+    // at any pool size.
+    const size_t numChunks = (xs.size() + kTrainChunk - 1) / kTrainChunk;
+    if (trainBatches_.size() < numChunks * kBatchesPerChunk)
+        trainBatches_.resize(numChunks * kBatchesPerChunk);
+    chunkLoss_.resize(numChunks);
+    parallelForChunks("costmodel.train_chunk", xs.size(), kTrainChunk,
+                      [&](size_t begin, size_t end) {
+                          trainForwardBackward(xs, ys, begin, end,
+                                               invBatch);
+                      });
 
-    parallelForChunks(
-        "costmodel.train_chunk", xs.size(), kChunk,
-        [&](size_t begin, size_t end) {
-            ChunkGrads &chunk = chunkGrads[begin / kChunk];
-            chunk.gWeight.resize(layers_.size());
-            chunk.gBias.resize(layers_.size());
-            for (size_t li = 0; li < layers_.size(); ++li) {
-                chunk.gWeight[li].assign(layers_[li].weight.size(),
-                                         0.0);
-                chunk.gBias[li].assign(layers_[li].bias.size(), 0.0);
+    // Phase 2, per block of neurons: weight gradients, chunk-order
+    // reduction and the Adam step.
+    if (trainBlocks_.empty()) {
+        constexpr int kBlockRows = 16;
+        for (size_t li = 0; li < layers_.size(); ++li)
+            for (int o0 = 0; o0 < layers_[li].out; o0 += kBlockRows) {
+                TrainBlock block;
+                block.layer = li;
+                block.o0 = o0;
+                block.o1 = std::min(layers_[li].out, o0 + kBlockRows);
+                trainBlocks_.push_back(std::move(block));
             }
-            std::vector<std::vector<double>> acts;
-            for (size_t si = begin; si < end; ++si) {
-                // Forward with stored activations.
-                acts.clear();
-                acts.push_back(xs[si]);
-                for (size_t li = 0; li < layers_.size(); ++li) {
-                    const Layer &layer = layers_[li];
-                    std::vector<double> out(layer.out, 0.0);
-                    const std::vector<double> &cur = acts.back();
-                    for (int o = 0; o < layer.out; ++o) {
-                        double acc = layer.bias[o];
-                        const double *row =
-                            layer.weight.data() +
-                            static_cast<size_t>(o) * layer.in;
-                        for (int i = 0; i < layer.in; ++i)
-                            acc += row[i] * cur[i];
-                        if (li + 1 < layers_.size() && acc < 0.0)
-                            acc = 0.0;
-                        out[o] = acc;
-                    }
-                    acts.push_back(std::move(out));
-                }
-                const double pred = acts.back()[0];
-                const double err = pred - ys[si];
-                chunk.loss += err * err;
-
-                // Backward.
-                std::vector<double> adj = {2.0 * err * invBatch};
-                for (size_t li = layers_.size(); li-- > 0;) {
-                    const Layer &layer = layers_[li];
-                    const std::vector<double> &out = acts[li + 1];
-                    const std::vector<double> &in = acts[li];
-                    std::vector<double> prev(layer.in, 0.0);
-                    for (int o = 0; o < layer.out; ++o) {
-                        if (li + 1 < layers_.size() && out[o] <= 0.0)
-                            continue;
-                        const double a = adj[o];
-                        double *gw =
-                            chunk.gWeight[li].data() +
-                            static_cast<size_t>(o) * layer.in;
-                        const double *row =
-                            layer.weight.data() +
-                            static_cast<size_t>(o) * layer.in;
-                        for (int i = 0; i < layer.in; ++i) {
-                            gw[i] += a * in[i];
-                            prev[i] += a * row[i];
-                        }
-                        chunk.gBias[li][o] += a;
-                    }
-                    adj.swap(prev);
-                }
-            }
-        });
-
-    // Deterministic chunk-order reduction.
-    std::vector<std::vector<double>> gWeight(layers_.size());
-    std::vector<std::vector<double>> gBias(layers_.size());
-    for (size_t li = 0; li < layers_.size(); ++li) {
-        gWeight[li].assign(layers_[li].weight.size(), 0.0);
-        gBias[li].assign(layers_[li].bias.size(), 0.0);
     }
-    double loss = 0.0;
-    for (const ChunkGrads &chunk : chunkGrads) {
-        loss += chunk.loss;
-        for (size_t li = 0; li < layers_.size(); ++li) {
-            for (size_t i = 0; i < gWeight[li].size(); ++i)
-                gWeight[li][i] += chunk.gWeight[li][i];
-            for (size_t i = 0; i < gBias[li].size(); ++i)
-                gBias[li][i] += chunk.gBias[li][i];
-        }
-    }
-
-    // Adam update.
     ++adamStep_;
-    const double b1 = config_.adamBeta1, b2 = config_.adamBeta2;
-    const double corr1 = 1.0 - std::pow(b1, adamStep_);
-    const double corr2 = 1.0 - std::pow(b2, adamStep_);
-    for (size_t li = 0; li < layers_.size(); ++li) {
-        Layer &layer = layers_[li];
-        auto update = [&](std::vector<double> &param,
-                          std::vector<double> &m, std::vector<double> &v,
-                          const std::vector<double> &g) {
-            // Vectorized across the parameter vector; each element's
-            // update is independent and uses the exact scalar
-            // operation order, so any backend is bit-identical.
-            simd::activeKernels().adamStep(
-                param.data(), g.data(), m.data(), v.data(),
-                param.size(), b1, b2, corr1, corr2, lr,
-                config_.adamEps);
-        };
-        update(layer.weight, layer.mWeight, layer.vWeight,
-               gWeight[li]);
-        update(layer.bias, layer.mBias, layer.vBias, gBias[li]);
-    }
+    const double corr1 = 1.0 - std::pow(config_.adamBeta1, adamStep_);
+    const double corr2 = 1.0 - std::pow(config_.adamBeta2, adamStep_);
+    parallelFor("costmodel.train_update", trainBlocks_.size(),
+                [&](size_t bi) {
+                    trainUpdateBlock(trainBlocks_[bi], numChunks, lr,
+                                     corr1, corr2);
+                });
+
+    double loss = 0.0;
+    for (size_t c = 0; c < numChunks; ++c)
+        loss += chunkLoss_[c];
     return loss / static_cast<double>(xs.size());
 }
 
@@ -477,18 +526,30 @@ Mlp::save(std::ostream &os) const
     }
 }
 
-Mlp
+std::optional<Mlp>
 Mlp::load(std::istream &is)
 {
     std::string tag;
     size_t numSizes = 0;
     is >> tag >> numSizes;
-    FELIX_CHECK(tag == "mlp" && numSizes >= 2 && numSizes < 64,
-                "bad MLP file header");
+    if (!is || tag != "mlp" || numSizes < 2 || numSizes >= 64)
+        return std::nullopt;
     MlpConfig config;
     config.layerSizes.resize(numSizes);
-    for (size_t i = 0; i < numSizes; ++i)
-        is >> config.layerSizes[i];
+    size_t parameters = 0;
+    for (size_t i = 0; i < numSizes; ++i) {
+        int &size = config.layerSizes[i];
+        if (!(is >> size) || size < 1 || size > kMaxLayerSize)
+            return std::nullopt;
+        // Both factors are at most kMaxLayerSize, so no overflow.
+        if (i > 0)
+            parameters += static_cast<size_t>(config.layerSizes[i - 1]) *
+                          static_cast<size_t>(size);
+        if (parameters > kMaxParameters)
+            return std::nullopt;
+    }
+    if (config.layerSizes.back() != 1)
+        return std::nullopt;
     Mlp mlp(config);
     for (Layer &layer : mlp.layers_) {
         for (double &w : layer.weight)
@@ -496,7 +557,8 @@ Mlp::load(std::istream &is)
         for (double &b : layer.bias)
             is >> b;
     }
-    FELIX_CHECK(static_cast<bool>(is), "truncated MLP file");
+    if (!is)
+        return std::nullopt;
     return mlp;
 }
 
@@ -525,15 +587,17 @@ Mlp::saveFull(std::ostream &os) const
     }
 }
 
-Mlp
+std::optional<Mlp>
 Mlp::loadFull(std::istream &is)
 {
-    Mlp mlp = load(is);
+    std::optional<Mlp> mlp = load(is);
+    if (!mlp)
+        return std::nullopt;
     std::string tag;
-    is >> tag >> mlp.adamStep_;
-    FELIX_CHECK(tag == "adam" && static_cast<bool>(is),
-                "bad MLP checkpoint: missing adam state");
-    for (Layer &layer : mlp.layers_) {
+    is >> tag >> mlp->adamStep_;
+    if (!is || tag != "adam")
+        return std::nullopt;
+    for (Layer &layer : mlp->layers_) {
         for (double &m : layer.mWeight)
             is >> m;
         for (double &v : layer.vWeight)
@@ -543,7 +607,8 @@ Mlp::loadFull(std::istream &is)
         for (double &v : layer.vBias)
             is >> v;
     }
-    FELIX_CHECK(static_cast<bool>(is), "truncated MLP checkpoint");
+    if (!is)
+        return std::nullopt;
     return mlp;
 }
 

@@ -16,6 +16,7 @@
 #define FELIX_COSTMODEL_MLP_H_
 
 #include <iosfwd>
+#include <optional>
 #include <vector>
 
 #include "support/aligned.h"
@@ -72,10 +73,11 @@ struct MlpConfig
  * Fully connected ReLU network with a linear head.
  *
  * forward()/forwardInputGrad() are const and safe to call from many
- * threads at once. trainBatch() mutates parameters (not reentrant)
- * but internally fans the per-sample gradient accumulation out over
- * the global pool in fixed-size chunks, reduced in chunk order, so
- * training results are identical for any --jobs value.
+ * threads at once. trainBatch() mutates parameters and its training
+ * scratch (not reentrant) but internally fans the work out over the
+ * global pool — fixed 16-sample chunks, then blocks of neurons that
+ * reduce the chunks in chunk order — so training results are
+ * identical for any --jobs value.
  */
 class Mlp
 {
@@ -152,6 +154,16 @@ class Mlp
 
     /**
      * One Adam step on a mini-batch with MSE loss.
+     *
+     * Each fixed 16-sample chunk runs as SoA batches through the
+     * blocked layer kernels (forward, input adjoints); then blocks
+     * of neurons build their weight gradients chunk by chunk, sum
+     * the chunk partials in chunk order and take their Adam step.
+     * Per element every sum runs in the order of a plain per-sample
+     * backprop loop, so losses, weights and Adam moments are
+     * bit-identical to that loop at every --jobs, SIMD backend and
+     * kBatchLanes (docs/tape_engine.md section 3d;
+     * tests/mlp_train_oracle.h keeps the loop as the reference).
      * @return the batch mean squared error before the update.
      */
     double trainBatch(const std::vector<std::vector<double>> &xs,
@@ -162,7 +174,15 @@ class Mlp
                     const std::vector<double> &ys) const;
 
     void save(std::ostream &os) const;
-    static Mlp load(std::istream &is);
+    /** nullopt on any malformed input: a bad header, a layer size
+     *  outside [1, kMaxLayerSize], more than kMaxParameters weights,
+     *  a non-scalar head, or truncated values. */
+    static std::optional<Mlp> load(std::istream &is);
+
+    /** Loading limits: far above any cost model here (the default
+     *  has ~35k parameters), far below an allocation that can fail. */
+    static constexpr int kMaxLayerSize = 1 << 16;
+    static constexpr size_t kMaxParameters = size_t{1} << 22;
 
     /**
      * Full-state serialization: weights and biases plus the Adam
@@ -172,9 +192,12 @@ class Mlp
      * the checkpoint format (docs/distributed.md).
      */
     void saveFull(std::ostream &os) const;
-    static Mlp loadFull(std::istream &is);
+    static std::optional<Mlp> loadFull(std::istream &is);
 
   private:
+    /** The per-sample reference trainer (tests/mlp_train_oracle.h). */
+    friend struct MlpTrainOracle;
+
     explicit Mlp(MlpConfig config);
 
     struct Layer
@@ -190,9 +213,41 @@ class Mlp
                                   const AlignedRows &cur,
                                   AlignedRows &out);
 
+    /** One SoA batch of a training step: up to kBatchLanes samples
+     *  of one 16-sample chunk, kept from the forward/backward phase
+     *  for the weight-gradient phase. */
+    struct TrainBatch
+    {
+        size_t lanes = 0;               ///< live samples, 0 = unused
+        std::vector<AlignedRows> acts;  ///< layer inputs + output, SoA
+        std::vector<AlignedRows> adjs;  ///< adjs[li]: d loss/d out li
+        std::vector<std::vector<double>> lanesIn; ///< acts, lane-major
+        AlignedRows madj;               ///< masked-adjoint scratch
+    };
+    /** A block of one layer's neurons in the weight-gradient phase:
+     *  its rows of the chunk partial and of the chunk-order sum. */
+    struct TrainBlock
+    {
+        size_t layer = 0;
+        int o0 = 0, o1 = 0;  ///< neurons [o0, o1)
+        std::vector<double> partial, sum, partialBias, sumBias;
+    };
+
+    void trainForwardBackward(const std::vector<std::vector<double>> &xs,
+                              const std::vector<double> &ys,
+                              size_t begin, size_t end,
+                              double inv_batch);
+    void trainUpdateBlock(TrainBlock &block, size_t num_chunks,
+                          double lr, double corr1, double corr2);
+
     MlpConfig config_;
     std::vector<Layer> layers_;
     int64_t adamStep_ = 0;
+    // Training scratch, sized on first use and reused by every step
+    // (each batch, loss and block slot is written by one worker).
+    std::vector<TrainBatch> trainBatches_;
+    std::vector<double> chunkLoss_;
+    std::vector<TrainBlock> trainBlocks_;
 };
 
 } // namespace costmodel

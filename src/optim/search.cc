@@ -209,8 +209,8 @@ struct WorkerBatchScratch
 {
     expr::BatchEvalState tape;
     costmodel::PredictScratch predict;
-    std::vector<double> inputs, outputs, outputGrads, inputGrads;
-    std::vector<double> modelGrads, laneGrad, logPoint;
+    std::vector<double> inputs, outputs, inputGrads;
+    std::vector<double> laneGrad, logPoint;
 };
 
 WorkerBatchScratch &
@@ -273,17 +273,13 @@ GradientSearch::round(const costmodel::CostModel &model, Rng &rng)
 
         // One fused stepper per sketch, shared by all workers (it is
         // immutable; per-worker state lives in WorkerBatchScratch).
-        // The unfused sequence below it is the bit-exactness
-        // reference (tests) and the A/B baseline (bench).
         std::vector<costmodel::FusedGradStep> fusedSteps;
-        if (options_.useFused) {
-            fusedSteps.reserve(contexts_.size());
-            for (const SketchContext &context : contexts_)
-                fusedSteps.emplace_back(
-                    *context.objective, model,
-                    static_cast<size_t>(numFeatures),
-                    context.numPenalties, options_.lambda);
-        }
+        fusedSteps.reserve(contexts_.size());
+        for (const SketchContext &context : contexts_)
+            fusedSteps.emplace_back(*context.objective, model,
+                                    static_cast<size_t>(numFeatures),
+                                    context.numPenalties,
+                                    options_.lambda);
 
         parallelFor("search.seed_batch", batches.size(), [&](size_t
                                                                 bi) {
@@ -291,7 +287,6 @@ GradientSearch::round(const costmodel::CostModel &model, Rng &rng)
             const SketchContext &context = contexts_[batch.sketchIdx];
             const size_t numVars = context.varNames.size();
             const size_t width = batch.seeds.size();
-            const size_t numOutputs = context.objective->numOutputs();
             constexpr size_t L = kBatchLanes;
 
             std::vector<std::vector<double>> x0(width), y(width);
@@ -318,11 +313,7 @@ GradientSearch::round(const costmodel::CostModel &model, Rng &rng)
 
             WorkerBatchScratch &ws = workerScratch();
             ws.inputs.resize(numVars * L);
-            ws.outputs.resize(numOutputs * L);
-            ws.outputGrads.resize(numOutputs * L);
             ws.inputGrads.resize(numVars * L);
-            ws.modelGrads.resize(
-                static_cast<size_t>(numFeatures) * L);
             ws.laneGrad.resize(numVars);
             double scores[kBatchLanes];
 
@@ -330,46 +321,12 @@ GradientSearch::round(const costmodel::CostModel &model, Rng &rng)
                 for (size_t l = 0; l < width; ++l)
                     for (size_t v = 0; v < numVars; ++v)
                         ws.inputs[v * L + l] = y[l][v];
-                if (options_.useFused) {
-                    // Fused: the same four stages with the feature
-                    // rows kept inside the engines' SoA buffers
-                    // (costmodel/fused.h; bit-identical to the
-                    // sequence below).
-                    fusedSteps[batch.sketchIdx].run(
-                        ws.inputs.data(), width, scores,
-                        ws.inputGrads.data(), ws.tape, ws.predict);
-                } else {
-                context.objective->forwardBatch(
-                    ws.inputs.data(), width, ws.outputs.data(),
-                    ws.tape);
-                // The first numFeatures output rows are the smoothed
-                // model inputs, already in the SoA rows the batched
-                // cost model consumes — no repacking.
-                model.predictTransformedWithGradBatch(
-                    ws.outputs.data(), scores, ws.modelGrads.data(),
-                    ws.predict);
-
-                std::fill(ws.outputGrads.begin(),
-                          ws.outputGrads.end(), 0.0);
-                for (int k = 0; k < numFeatures; ++k) {
-                    const size_t row = static_cast<size_t>(k) * L;
-                    for (size_t l = 0; l < width; ++l)
-                        ws.outputGrads[row + l] =
-                            -ws.modelGrads[row + l];
-                }
-                for (size_t p = 0; p < context.numPenalties; ++p) {
-                    const size_t row = (numFeatures + p) * L;
-                    for (size_t l = 0; l < width; ++l) {
-                        const double g = ws.outputs[row + l];
-                        if (g > 0.0)
-                            ws.outputGrads[row + l] =
-                                options_.lambda * 2.0 * g;
-                    }
-                }
-                context.objective->backwardBatch(
-                    ws.outputGrads.data(), ws.inputGrads.data(),
-                    ws.tape);
-                }
+                // Tape forward, MLP score and input gradient, tape
+                // backward in one pass with the feature rows kept
+                // inside the engines' SoA buffers (costmodel/fused.h).
+                fusedSteps[batch.sketchIdx].run(
+                    ws.inputs.data(), width, scores,
+                    ws.inputGrads.data(), ws.tape, ws.predict);
                 for (size_t l = 0; l < width; ++l)
                     outcomes[batch.seeds[l]].visitedScores.push_back(
                         scores[l]);

@@ -155,15 +155,6 @@ struct GradSearchOptions
      *  scalar path exists as their reference and as the
      *  microbenchmark baseline. */
     bool useBatch = true;
-
-    /** false: run the batched descent step through the unfused
-     *  forwardBatch / predictTransformedWithGradBatch /
-     *  backwardBatch sequence with its materialized feature
-     *  round-trips instead of costmodel::FusedGradStep. Results are
-     *  bit-identical either way (the parity tests enforce it); the
-     *  unfused path exists as the reference and as the
-     *  microbenchmark baseline. Only meaningful with useBatch. */
-    bool useFused = true;
 };
 
 /** Felix's gradient-descent schedule search for one subgraph. */

@@ -2,7 +2,8 @@
  * @file
  * Runtime-dispatched SIMD kernel table for the hot SoA loops: tape
  * forward/backward (expr/compiled.cc), the blocked batched MLP
- * layer kernels (costmodel/mlp.cc), and the Adam parameter update
+ * layer kernels for inference and training (costmodel/mlp.cc), and
+ * the Adam parameter update
  * (optim/adam.cc, costmodel/mlp.cc).
  *
  * Every backend is the SAME templated kernel body
@@ -55,6 +56,20 @@ struct KernelSet
                              bool hidden, const double *out_acts,
                              const double *adj, double *madj,
                              double *prev);
+    /** One batched MLP layer of the training backward: the weight
+     *  and bias gradients over the first @p lanes samples.
+     *  in_lanes holds the layer's inputs lane-major
+     *  (in_lanes[l*in+i]); out_acts and adj are SoA rows. Each
+     *  gW[o*in+i] and gB[o] starts from +0.0 (or, with
+     *  @p accumulate, from its current value) and adds
+     *  adj[o*L+l]*in_lanes[l*in+i] (resp. adj[o*L+l]) for every
+     *  open lane in ascending lane order; a lane is closed when
+     *  hidden and out_acts[o*L+l] <= 0. */
+    void (*mlpWeightGradLayer)(const double *in_lanes,
+                               const double *out_acts,
+                               const double *adj, int in, int out,
+                               bool hidden, int lanes, bool accumulate,
+                               double *gW, double *gB);
 
     /** One Adam update over a flat parameter vector, vectorized with
      *  a scalar ragged tail running the identical formula order. */

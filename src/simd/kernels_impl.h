@@ -309,6 +309,76 @@ mlpBackwardLayerT(const double *weights, int in, int out, bool hidden,
     }
 }
 
+/** Weight and bias gradients of one layer in Mlp::trainBatch. The
+ *  per-sample loop this replaces skipped a neuron whose gate was
+ *  closed and otherwise ran gw[i] += a * in[i] and gb += a, one
+ *  sample after another; here each gradient element gets exactly
+ *  that chain — start value, then the open lanes' terms in
+ *  ascending lane order — so the result is bit-identical. Lanes are
+ *  the reduction axis, so the vectors run along the input axis
+ *  instead (a gradient row is contiguous, hence in_lanes is
+ *  lane-major), with a block of kBlock accumulators per tile for
+ *  independent add chains and a scalar tail for ragged rows. */
+template <class V>
+void
+mlpWeightGradLayerT(const double *in_lanes, const double *out_acts,
+                    const double *adj, int in, int out, bool hidden,
+                    int lanes, bool accumulate, double *gW, double *gB)
+{
+    constexpr std::size_t L = kBatchLanes;
+    constexpr std::size_t W = V::kWidth;
+    constexpr std::size_t kBlock = 8;
+    const std::size_t n = static_cast<std::size_t>(in);
+    const double *rows[L];
+    double as[L];
+    for (int o = 0; o < out; ++o) {
+        const double *aRow = adj + static_cast<std::size_t>(o) * L;
+        const double *outRow =
+            out_acts + static_cast<std::size_t>(o) * L;
+        std::size_t open = 0;
+        for (int l = 0; l < lanes; ++l) {
+            if (hidden && outRow[l] <= 0.0)
+                continue;
+            rows[open] = in_lanes + static_cast<std::size_t>(l) * n;
+            as[open++] = aRow[l];
+        }
+
+        double b = accumulate ? gB[o] : 0.0;
+        for (std::size_t k = 0; k < open; ++k)
+            b += as[k];
+        gB[o] = b;
+
+        double *g = gW + static_cast<std::size_t>(o) * n;
+        std::size_t i = 0;
+        for (; i + kBlock * W <= n; i += kBlock * W) {
+            V acc[kBlock];
+            for (std::size_t t = 0; t < kBlock; ++t)
+                acc[t] = accumulate ? V::load(g + i + t * W)
+                                    : V::broadcast(0.0);
+            for (std::size_t k = 0; k < open; ++k) {
+                const V a = V::broadcast(as[k]);
+                for (std::size_t t = 0; t < kBlock; ++t)
+                    acc[t] =
+                        acc[t] + a * V::load(rows[k] + i + t * W);
+            }
+            for (std::size_t t = 0; t < kBlock; ++t)
+                acc[t].store(g + i + t * W);
+        }
+        for (; i + W <= n; i += W) {
+            V acc = accumulate ? V::load(g + i) : V::broadcast(0.0);
+            for (std::size_t k = 0; k < open; ++k)
+                acc = acc + V::broadcast(as[k]) * V::load(rows[k] + i);
+            acc.store(g + i);
+        }
+        for (; i < n; ++i) {
+            double acc = accumulate ? g[i] : 0.0;
+            for (std::size_t k = 0; k < open; ++k)
+                acc += as[k] * rows[k][i];
+            g[i] = acc;
+        }
+    }
+}
+
 /** Adam parameter update (optim/adam.cc formula order), vector body
  *  plus a scalar ragged tail with the identical operation sequence. */
 template <class V>
@@ -375,6 +445,7 @@ makeKernelSet(const char *name)
                      &tapeBackwardT<V>,
                      &mlpForwardLayerT<V>,
                      &mlpBackwardLayerT<V>,
+                     &mlpWeightGradLayerT<V>,
                      &adamStepT<V>,
                      &probeMulAddT<V>};
 }

@@ -8,7 +8,10 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <optional>
 #include <sstream>
+#include <string>
 
 #include "costmodel/cost_model.h"
 #include "costmodel/dataset.h"
@@ -92,8 +95,9 @@ TEST(MlpTest, SaveLoadRoundTrip)
     std::vector<double> x = {0.5, 0.25, -0.75, 1.0};
     std::stringstream buffer;
     mlp.save(buffer);
-    Mlp loaded = Mlp::load(buffer);
-    EXPECT_DOUBLE_EQ(mlp.forward(x), loaded.forward(x));
+    std::optional<Mlp> loaded = Mlp::load(buffer);
+    ASSERT_TRUE(loaded.has_value());
+    EXPECT_DOUBLE_EQ(mlp.forward(x), loaded->forward(x));
 }
 
 TEST(ScalerTest, StandardizesColumns)
@@ -206,6 +210,113 @@ TEST(CostModelTest, TryLoadMissingFileReturnsNullopt)
 {
     EXPECT_FALSE(CostModel::tryLoad("/nonexistent/file.txt")
                      .has_value());
+}
+
+/** A small fitted model's pretrained-cache file, as text. */
+std::string
+fittedModelFile()
+{
+    Rng data(43);
+    std::vector<Sample> samples;
+    for (int i = 0; i < 40; ++i) {
+        std::vector<double> raw(features::kNumFeatures, 2.0);
+        raw[3] = std::exp(data.uniform(0.0, 5.0));
+        samples.push_back({raw, data.uniform(1e-5, 1e-3)});
+    }
+    MlpConfig config;
+    config.layerSizes = {features::kNumFeatures, 8, 1};
+    CostModel model(config, 3);
+    model.fit(samples, 1, 32, 1e-3);
+    const std::string path = "test_cost_model_text_tmp.txt";
+    model.save(path);
+    std::ifstream is(path);
+    std::stringstream text;
+    text << is.rdbuf();
+    std::remove(path.c_str());
+    return text.str();
+}
+
+bool
+tryLoadText(const std::string &text)
+{
+    const std::string path = "test_cost_model_corrupt_tmp.txt";
+    {
+        std::ofstream os(path);
+        os << text;
+    }
+    const bool loaded = CostModel::tryLoad(path).has_value();
+    std::remove(path.c_str());
+    return loaded;
+}
+
+TEST(CostModelTest, TryLoadRejectsCorruptFiles)
+{
+    const std::string good = fittedModelFile();
+    ASSERT_TRUE(tryLoadText(good));
+    // Truncated halfway through the weights.
+    EXPECT_FALSE(tryLoadText(good.substr(0, good.size() / 2)));
+    // Negative, zero and absurdly large layer sizes.
+    EXPECT_FALSE(tryLoadText("felix-cost-model v1\nmlp 3\n-5 4 1\n"));
+    EXPECT_FALSE(tryLoadText("felix-cost-model v1\nmlp 3\n0 4 1\n"));
+    EXPECT_FALSE(
+        tryLoadText("felix-cost-model v1\nmlp 3\n1000000000 128 1\n"));
+    // Every layer within the size cap, but too many parameters.
+    EXPECT_FALSE(
+        tryLoadText("felix-cost-model v1\nmlp 3\n60000 60000 1\n"));
+    // A non-scalar head.
+    EXPECT_FALSE(tryLoadText("felix-cost-model v1\nmlp 2\n1 2\n"));
+    // A scaler size that differs from the network's input size.
+    const std::string sizeLine =
+        "\n" + std::to_string(features::kNumFeatures) + "\n";
+    const size_t at = good.find(sizeLine);
+    ASSERT_NE(at, std::string::npos);
+    std::string badScaler = good;
+    badScaler.replace(at, sizeLine.size(), "\n1000000000\n");
+    EXPECT_FALSE(tryLoadText(badScaler));
+}
+
+TEST(CostModelTest, LoadStateRejectsCorruptStreams)
+{
+    CostModel model(tinyConfig(), 5);
+    std::stringstream state;
+    model.saveState(state);
+    const std::string good = state.str();
+    {
+        std::stringstream is(good);
+        EXPECT_TRUE(CostModel::loadState(is).has_value());
+    }
+    for (const std::string &bad :
+         {good.substr(0, good.size() / 2),
+          std::string("felix-cost-model-state v1\nmlp 3\n-5 4 1\n"),
+          std::string("felix-cost-model-state v1\nmlp 3\n"
+                      "1000000000 128 1\n")}) {
+        std::stringstream is(bad);
+        EXPECT_FALSE(CostModel::loadState(is).has_value());
+    }
+}
+
+TEST(Dataset, PretrainedModelRetrainsOverCorruptCache)
+{
+    DatasetOptions options;
+    options.numSubgraphs = 2;
+    options.schedulesPerSketch = 4;
+    options.seed = 78;
+    const std::string cacheDir = "test_pretrained_corrupt_tmp";
+    std::filesystem::create_directories(cacheDir);
+    const std::string path = cacheDir + "/cost_model_a5000.txt";
+    {
+        std::ofstream os(path);
+        os << "felix-cost-model v1\nmlp 3\n1000000000 128 1\n";
+    }
+    auto model =
+        pretrainedCostModel(sim::DeviceKind::A5000, cacheDir, options);
+    std::vector<double> raw(features::kNumFeatures, 3.0);
+    EXPECT_TRUE(std::isfinite(model.predict(raw)));
+    // The corrupt file was replaced by the retrained model.
+    auto reloaded = CostModel::tryLoad(path);
+    ASSERT_TRUE(reloaded.has_value());
+    EXPECT_DOUBLE_EQ(model.predict(raw), reloaded->predict(raw));
+    std::filesystem::remove_all(cacheDir);
 }
 
 TEST(CostModelTest, FinetuneShiftsPredictions)

@@ -233,13 +233,13 @@ TEST(JitParity, ForwardBackwardVsInterpreterEveryBackendEveryWidth)
 }
 
 // ---------------------------------------------------------------
-// Fused step vs the unfused reference sequence: same tape, same
-// model, every backend, every ragged width, JIT on and off. The
-// tape has deliberate penalty outputs so the conditional penalty
-// seeding is exercised.
+// Fused step vs the scalar engine (the per-point sequence the
+// --no-batch descent runs): same tape, same model, every backend,
+// every ragged width, JIT on and off. The tape has deliberate
+// penalty outputs so the conditional penalty seeding is exercised.
 // ---------------------------------------------------------------
 
-TEST(JitParity, FusedStepVsUnfusedEveryBackendEveryWidth)
+TEST(JitParity, FusedStepVsScalarEngineEveryBackendEveryWidth)
 {
     using expr::CompiledExprs;
     using expr::Expr;
@@ -283,35 +283,36 @@ TEST(JitParity, FusedStepVsUnfusedEveryBackendEveryWidth)
                 for (double &v : inputs)
                     v = rng.uniform(-2.0, 2.0);
 
-                // Unfused reference: the exact sequence
-                // GradientSearch::round runs with useFused=false.
-                expr::BatchEvalState refState;
-                costmodel::PredictScratch refPredict;
-                std::vector<double> outputs((kFeatures + kPenalties) *
-                                            L);
-                std::vector<double> outputGrads(outputs.size(), 0.0);
-                std::vector<double> modelGrads(kFeatures * L);
+                // Scalar reference, lane by lane: the exact sequence
+                // GradientSearch::round runs with useBatch=false.
+                expr::EvalState refState;
+                std::vector<double> point(numVars), outputs,
+                    modelInputs(kFeatures), modelGrad, outputGrads,
+                    laneGrads;
                 std::vector<double> refGrads(numVars * L);
                 double refScores[kBatchLanes];
-                compiled.forwardBatch(inputs.data(), width,
-                                      outputs.data(), refState);
-                model.predictTransformedWithGradBatch(
-                    outputs.data(), refScores, modelGrads.data(),
-                    refPredict);
-                for (size_t k = 0; k < kFeatures; ++k)
-                    for (size_t l = 0; l < width; ++l)
-                        outputGrads[k * L + l] =
-                            -modelGrads[k * L + l];
-                for (size_t p = 0; p < kPenalties; ++p) {
-                    const size_t row = (kFeatures + p) * L;
-                    for (size_t l = 0; l < width; ++l) {
-                        const double g = outputs[row + l];
+                for (size_t l = 0; l < width; ++l) {
+                    for (size_t v = 0; v < numVars; ++v)
+                        point[v] = inputs[v * L + l];
+                    compiled.forward(point, outputs, refState);
+                    for (size_t k = 0; k < kFeatures; ++k)
+                        modelInputs[k] = outputs[k];
+                    refScores[l] = model.predictTransformedWithGrad(
+                        modelInputs, modelGrad);
+                    outputGrads.assign(outputs.size(), 0.0);
+                    for (size_t k = 0; k < kFeatures; ++k)
+                        outputGrads[k] = -modelGrad[k];
+                    for (size_t p = 0; p < kPenalties; ++p) {
+                        const double g = outputs[kFeatures + p];
                         if (g > 0.0)
-                            outputGrads[row + l] = lambda * 2.0 * g;
+                            outputGrads[kFeatures + p] =
+                                lambda * 2.0 * g;
                     }
+                    compiled.backward(outputGrads, laneGrads,
+                                      refState);
+                    for (size_t v = 0; v < numVars; ++v)
+                        refGrads[v * L + l] = laneGrads[v];
                 }
-                compiled.backwardBatch(outputGrads.data(),
-                                       refGrads.data(), refState);
 
                 expr::BatchEvalState fusedState;
                 costmodel::PredictScratch fusedPredict;
@@ -341,11 +342,11 @@ TEST(JitParity, FusedStepVsUnfusedEveryBackendEveryWidth)
 
 // ---------------------------------------------------------------
 // End to end: a full gradient-search round with the fused step and
-// the JIT live vs the unfused interpreter round, bit for bit —
-// candidates, scores, trace.
+// the JIT live vs the scalar engine's round (--no-batch), bit for
+// bit — candidates, scores, trace.
 // ---------------------------------------------------------------
 
-TEST(JitParity, SearchRoundFusedJitVsUnfusedInterpreterBitExact)
+TEST(JitParity, SearchRoundFusedJitVsScalarEngineBitExact)
 {
     costmodel::DatasetOptions datasetOptions;
     datasetOptions.numSubgraphs = 4;
@@ -363,13 +364,12 @@ TEST(JitParity, SearchRoundFusedJitVsUnfusedInterpreterBitExact)
     options.nSeeds = 5;
     options.nSteps = 25;
     options.nMeasure = 6;
-    options.useBatch = true;
 
     optim::RoundResult results[2];
     for (int pass = 0; pass < 2; ++pass) {
         const bool fusedJit = pass == 1;
         JitGuard jitState(fusedJit);
-        options.useFused = fusedJit;
+        options.useBatch = fusedJit;
         optim::GradientSearch search(subgraph, options);
         Rng rng(2025);
         results[pass] = search.round(model, rng);

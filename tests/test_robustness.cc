@@ -191,7 +191,8 @@ TEST(Robustness, CorruptCostModelFileRejected)
         std::ofstream os(path);
         os << "felix-cost-model v1\nmlp 3\n82 8 1\n0.5 truncated";
     }
-    EXPECT_THROW(costmodel::CostModel::tryLoad(path), InternalError);
+    // Rejected means nullopt (the caller retrains), never a throw.
+    EXPECT_FALSE(costmodel::CostModel::tryLoad(path).has_value());
     std::remove(path);
 }
 

@@ -203,7 +203,9 @@ runSocket(serve::ServeSession &session, const std::string &path,
             if (fd >= 0)
                 clients.push_back({fd, std::string()});
         }
-        for (size_t i = clients.size(); i-- > 0;) {
+        // Only the clients polled above have an fds entry; one just
+        // accepted sits after them and waits for the next poll.
+        for (size_t i = fds.size() - 1; i-- > 0;) {
             if (!(fds[i + 1].revents & (POLLIN | POLLHUP | POLLERR)))
                 continue;
             Client &client = clients[i];
