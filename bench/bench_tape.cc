@@ -7,7 +7,9 @@
  * the Adam parameter update, one cost-model training step at the
  * fine-tune shape (mlp_train_step: the per-sample reference loop and
  * the blocked kernels), and the end-to-end surrogate descent step
- * (grad_search_step: scalar reference, fused, fused + tape JIT).
+ * (grad_search_step: scalar reference, a 16-seed fused group with
+ * and without the tape JIT, and the production shape: 8 seeds over
+ * 1, 2 or 4 sketches in one packed lane group).
  * Every batched benchmark runs once per
  * available SIMD backend (scalar fallback, SSE2, AVX2, AVX-512 —
  * whatever this build and CPU support), so one run shows the whole
@@ -26,7 +28,9 @@
 #include <cstdio>
 #include <cstring>
 #include <map>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "costmodel/cost_model.h"
@@ -79,50 +83,99 @@ featureTape()
 }
 
 /**
- * The smoothed log-space descent tape, built exactly the way the
- * gradient search builds its objective (gradient-safe optimizer
- * passes only).
+ * A smoothed log-space descent tape, built the way the gradient
+ * search builds its objective (gradient-safe optimizer passes only):
+ * the 82 model inputs, then the constraint penalties when
+ * @p penalties is set.
  */
+std::unique_ptr<expr::CompiledExprs>
+buildObjective(const sketch::SymbolicSchedule &sched, bool penalties)
+{
+    auto names = varNames(sched);
+    std::vector<expr::Expr> outputs;
+    for (const expr::Expr &feature :
+         features::extractFeatures(sched.program)) {
+        expr::Expr smooth =
+            rewrite::makeSmooth(feature, rewrite::Kernel::Algebraic);
+        expr::Expr logged = rewrite::logExpand(smooth);
+        logged = rewrite::expSubstituteVars(logged, names);
+        outputs.push_back(
+            rewrite::smoothMax0(logged, rewrite::Kernel::Algebraic));
+    }
+    if (penalties) {
+        for (const expr::Expr &g : sched.constraints)
+            outputs.push_back(rewrite::expSubstituteVars(
+                rewrite::makeSmooth(g, rewrite::Kernel::Algebraic),
+                names));
+    }
+    return std::make_unique<expr::CompiledExprs>(outputs, names);
+}
+
+/** The dense sketch's descent tape without penalties. */
 const expr::CompiledExprs &
 objectiveTape()
 {
-    static const expr::CompiledExprs compiled = [] {
-        const auto &sched = denseSketch();
-        auto names = varNames(sched);
-        std::vector<expr::Expr> outputs;
-        for (const expr::Expr &feature :
-             features::extractFeatures(sched.program)) {
-            expr::Expr smooth = rewrite::makeSmooth(
-                feature, rewrite::Kernel::Algebraic);
-            expr::Expr logged = rewrite::logExpand(smooth);
-            logged = rewrite::expSubstituteVars(logged, names);
-            outputs.push_back(rewrite::smoothMax0(
-                logged, rewrite::Kernel::Algebraic));
-        }
-        return expr::CompiledExprs(outputs, names);
-    }();
-    return compiled;
+    static const auto compiled = buildObjective(denseSketch(), false);
+    return *compiled;
 }
 
 /**
- * SoA input rows: kBatchLanes valid schedule points, in x space for
- * the feature tape or log space for the objective tape.
+ * Four sketches' full objective tapes (features + penalties), as
+ * GradientSearch::round builds them: the dense subgraph's two and a
+ * 3x3 convolution's two.
+ */
+const std::vector<std::pair<const sketch::SymbolicSchedule *,
+                            std::unique_ptr<expr::CompiledExprs>>> &
+packedObjectives()
+{
+    static const auto objectives = [] {
+        static const auto convSketches = [] {
+            tir::Conv2dConfig config;
+            config.c = 64;
+            config.h = 56;
+            config.w = 56;
+            config.k = 64;
+            return sketch::generateSketches(tir::conv2d(config));
+        }();
+        static const auto denseSketches =
+            sketch::generateSketches(tir::dense(512, 512, 512, true));
+        std::vector<std::pair<const sketch::SymbolicSchedule *,
+                              std::unique_ptr<expr::CompiledExprs>>>
+            out;
+        for (const auto *sched : {&denseSketches[0], &denseSketches[1],
+                                  &convSketches[0], &convSketches[1]})
+            out.emplace_back(sched, buildObjective(*sched, true));
+        return out;
+    }();
+    return objectives;
+}
+
+/**
+ * SoA input rows: kBatchLanes valid schedule points of @p sched, in
+ * x space for a feature tape or log space for an objective tape.
  */
 std::vector<double>
-samplePoints(const expr::CompiledExprs &tape, bool log_space)
+samplePoints(const sketch::SymbolicSchedule &sched,
+             const expr::CompiledExprs &tape, bool log_space)
 {
     Rng rng(42);
     constexpr size_t L = kBatchLanes;
     const size_t numVars = tape.numVars();
     std::vector<double> inputs(numVars * L);
     for (size_t l = 0; l < L; ++l) {
-        auto x = sketch::sampleValid(denseSketch(), rng);
+        auto x = sketch::sampleValid(sched, rng);
         for (size_t v = 0; v < numVars; ++v) {
             inputs[v * L + l] =
                 log_space ? std::log(std::max(1.0, x[v])) : x[v];
         }
     }
     return inputs;
+}
+
+std::vector<double>
+samplePoints(const expr::CompiledExprs &tape, bool log_space)
+{
+    return samplePoints(denseSketch(), tape, log_space);
 }
 
 void
@@ -258,6 +311,12 @@ BM_MlpInputGradScalar(benchmark::State &state)
         benchmark::Counter::kIsRate);
 }
 
+/**
+ * The batched MLP score + input gradient over kLanes occupied lanes
+ * (the staged entry point the fused step calls); the layer kernels
+ * sweep only those lanes. points_per_sec counts occupied lanes.
+ */
+template <size_t kLanes>
 void
 BM_MlpInputGradBatch(benchmark::State &state)
 {
@@ -266,18 +325,19 @@ BM_MlpInputGradBatch(benchmark::State &state)
     costmodel::Mlp mlp(config, rng);
     costmodel::MlpBatchScratch scratch;
     constexpr size_t L = kBatchLanes;
-    std::vector<double> x(82 * L);
-    for (double &v : x)
-        v = rng.uniform(-2.0, 2.0);
+    double *rows = mlp.stageInputRows(scratch);
+    for (size_t i = 0; i < 82; ++i)
+        for (size_t l = 0; l < kLanes; ++l)
+            rows[i * L + l] = rng.uniform(-2.0, 2.0);
     double y[kBatchLanes];
-    std::vector<double> dx(82 * L);
     for (auto _ : state) {
-        mlp.forwardInputGradBatch(x.data(), y, dx.data(), scratch);
-        benchmark::DoNotOptimize(dx.data());
+        mlp.forwardInputGradStaged(y, kLanes, scratch);
+        benchmark::DoNotOptimize(mlp.inputGradRows(scratch));
+        benchmark::ClobberMemory();
     }
     state.counters["points_per_sec"] = benchmark::Counter(
         static_cast<double>(state.iterations()) *
-            static_cast<double>(L),
+            static_cast<double>(kLanes),
         benchmark::Counter::kIsRate);
 }
 
@@ -353,66 +413,104 @@ BM_GradSearchStepScalar(benchmark::State &state)
         benchmark::Counter::kIsRate);
 }
 
+/**
+ * @p numSeeds seeds descending in one lane group, seed s on tape
+ * s % tapes.size(), the way GradientSearch::round packs a round:
+ * one FusedGradStep per iteration, then each seed's Adam step.
+ * @p starts holds each tape's sampled start points (SoA rows).
+ */
 void
-gradSearchStepFusedImpl(benchmark::State &state, bool useJit)
+gradSearchStepImpl(benchmark::State &state,
+                   const std::vector<const expr::CompiledExprs *> &tapes,
+                   const std::vector<std::vector<double>> &starts,
+                   size_t numSeeds, bool useJit)
 {
-    const auto &tape = objectiveTape();
-    const auto &model = benchModel();
     constexpr size_t L = kBatchLanes;
-    const size_t numVars = tape.numVars();
-    const size_t numFeatures = tape.numOutputs();
-    const auto init = samplePoints(tape, true);
     const bool jitDefault = jit::enabled();
     jit::setEnabled(useJit);
-    expr::BatchEvalState evalState;
-    costmodel::PredictScratch predict;
-    costmodel::FusedGradStep step(tape, model, numFeatures,
-                                  /*numPenalties=*/0,
+    std::vector<costmodel::FusedGradStep::Objective> objectives;
+    for (const expr::CompiledExprs *tape : tapes)
+        objectives.push_back(
+            {tape, tape->numOutputs() - features::kNumFeatures});
+    costmodel::FusedGradStep step(objectives, benchModel(),
+                                  features::kNumFeatures,
                                   /*lambda=*/10.0);
-    std::vector<double> inputs = init;
-    std::vector<double> inputGrads(numVars * L);
-    std::vector<double> laneGrad(numVars), yLane(numVars);
-    double scores[kBatchLanes];
+    costmodel::PredictScratch predict;
+    const size_t numSubs = std::min(numSeeds, tapes.size());
+    std::vector<costmodel::TapeSubBatch> subs(numSubs);
+    for (size_t s = 0; s < numSubs; ++s) {
+        subs[s].objective = s;
+        for (size_t l = s; l < numSeeds; l += tapes.size())
+            subs[s].lanes.push_back(l);
+        subs[s].inputs.resize(tapes[s]->numVars() * L);
+    }
+    std::vector<std::vector<double>> y(numSeeds), laneGrad(numSeeds);
     std::vector<optim::Adam> adams;
-    adams.reserve(L);
-    for (size_t l = 0; l < L; ++l)
-        adams.emplace_back(numVars);
+    for (size_t l = 0; l < numSeeds; ++l)
+        adams.emplace_back(tapes[l % tapes.size()]->numVars());
+    double scores[kBatchLanes];
     size_t iter = 0;
     for (auto _ : state) {
-        if ((iter++ & 127) == 0)
-            inputs = init;
-        step.run(inputs.data(), L, scores, inputGrads.data(),
-                 evalState, predict);
-        for (size_t l = 0; l < L; ++l) {
-            for (size_t v = 0; v < numVars; ++v) {
-                yLane[v] = inputs[v * L + l];
-                laneGrad[v] = inputGrads[v * L + l];
+        if ((iter++ & 127) == 0) {
+            for (size_t l = 0; l < numSeeds; ++l) {
+                const size_t t = l % tapes.size();
+                y[l].resize(tapes[t]->numVars());
+                for (size_t v = 0; v < y[l].size(); ++v)
+                    y[l][v] = starts[t][v * L + l];
             }
-            adams[l].step(yLane, laneGrad);
-            for (size_t v = 0; v < numVars; ++v)
-                inputs[v * L + l] = yLane[v];
+        }
+        for (costmodel::TapeSubBatch &sub : subs)
+            for (size_t j = 0; j < sub.lanes.size(); ++j)
+                for (size_t v = 0; v < y[sub.lanes[j]].size(); ++v)
+                    sub.inputs[v * L + j] = y[sub.lanes[j]][v];
+        step.run(subs.data(), numSubs, numSeeds, scores, predict);
+        for (const costmodel::TapeSubBatch &sub : subs) {
+            for (size_t j = 0; j < sub.lanes.size(); ++j) {
+                const size_t l = sub.lanes[j];
+                laneGrad[l].resize(y[l].size());
+                for (size_t v = 0; v < y[l].size(); ++v)
+                    laneGrad[l][v] = sub.inputGrads[v * L + j];
+                adams[l].step(y[l], laneGrad[l]);
+            }
         }
         benchmark::DoNotOptimize(&scores[0]);
     }
     jit::setEnabled(jitDefault);
     state.counters["steps_per_sec"] = benchmark::Counter(
         static_cast<double>(state.iterations()) *
-            static_cast<double>(L),
+            static_cast<double>(numSeeds),
         benchmark::Counter::kIsRate);
     state.counters["jit_active"] =
         useJit && jit::supported() ? 1.0 : 0.0;
 }
 
+/** A full 16-seed lane group on the dense sketch's tape. */
+template <bool kJit>
 void
 BM_GradSearchStepFused(benchmark::State &state)
 {
-    gradSearchStepFusedImpl(state, /*useJit=*/false);
+    gradSearchStepImpl(state, {&objectiveTape()},
+                       {samplePoints(objectiveTape(), true)},
+                       kBatchLanes, kJit);
 }
 
+/**
+ * The production shape: the paper's 8 seeds per round over
+ * kSketches sketches (full objective tapes, JIT on), one lane group.
+ */
+template <size_t kSketches>
 void
-BM_GradSearchStepFusedJit(benchmark::State &state)
+BM_GradSearchStepPacked(benchmark::State &state)
 {
-    gradSearchStepFusedImpl(state, /*useJit=*/true);
+    std::vector<const expr::CompiledExprs *> tapes;
+    std::vector<std::vector<double>> starts;
+    for (size_t t = 0; t < kSketches; ++t) {
+        const auto &entry = packedObjectives()[t];
+        tapes.push_back(entry.second.get());
+        starts.push_back(
+            samplePoints(*entry.first, *entry.second, true));
+    }
+    gradSearchStepImpl(state, tapes, starts, 8, /*useJit=*/true);
 }
 
 /**
@@ -620,8 +718,13 @@ main(int argc, char **argv)
     registerWidthVariants("mlp_forward/batch", BM_MlpForwardBatch);
     registerScalarEngine("mlp_input_grad/scalar",
                          BM_MlpInputGradScalar);
-    registerWidthVariants("mlp_input_grad/batch",
-                          BM_MlpInputGradBatch);
+    registerWidthVariants("mlp_input_grad/batch/lanes=4",
+                          BM_MlpInputGradBatch<4>);
+    registerWidthVariants("mlp_input_grad/batch/lanes=8",
+                          BM_MlpInputGradBatch<8>);
+    if constexpr (kBatchLanes >= 16)
+        registerWidthVariants("mlp_input_grad/batch/lanes=16",
+                              BM_MlpInputGradBatch<16>);
     registerWidthVariants("adam_step", BM_AdamStep);
     registerScalarEngine("mlp_train_step/per_sample",
                          BM_MlpTrainStep<true>);
@@ -630,9 +733,15 @@ main(int argc, char **argv)
     registerScalarEngine("grad_search_step/scalar",
                          BM_GradSearchStepScalar);
     registerWidthVariants("grad_search_step/fused",
-                          BM_GradSearchStepFused);
+                          BM_GradSearchStepFused<false>);
     registerWidthVariants("grad_search_step/fused_jit",
-                          BM_GradSearchStepFusedJit);
+                          BM_GradSearchStepFused<true>);
+    registerWidthVariants("grad_search_step/packed/sketches=1",
+                          BM_GradSearchStepPacked<1>);
+    registerWidthVariants("grad_search_step/packed/sketches=2",
+                          BM_GradSearchStepPacked<2>);
+    registerWidthVariants("grad_search_step/packed/sketches=4",
+                          BM_GradSearchStepPacked<4>);
 
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv))

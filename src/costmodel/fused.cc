@@ -6,13 +6,11 @@
 namespace felix {
 namespace costmodel {
 
-FusedGradStep::FusedGradStep(const expr::CompiledExprs &objective,
+FusedGradStep::FusedGradStep(std::vector<Objective> objectives,
                              const CostModel &model,
-                             size_t numFeatures, size_t numPenalties,
-                             double lambda)
-    : objective_(objective), model_(model),
-      numFeatures_(numFeatures), numPenalties_(numPenalties),
-      lambda_(lambda)
+                             size_t numFeatures, double lambda)
+    : objectives_(std::move(objectives)), model_(model),
+      numFeatures_(numFeatures), lambda_(lambda)
 {
     FELIX_CHECK(model_.scaler().fitted(),
                 "FusedGradStep on an unfitted cost model");
@@ -20,73 +18,80 @@ FusedGradStep::FusedGradStep(const expr::CompiledExprs &objective,
                 "FusedGradStep: tape emits ", numFeatures_,
                 " features but the model expects ",
                 model_.scaler().means().size());
-    FELIX_CHECK(objective_.numOutputs() ==
-                    numFeatures_ + numPenalties_,
-                "FusedGradStep: objective outputs don't match "
-                "features + penalties");
+    for (const Objective &objective : objectives_)
+        FELIX_CHECK(objective.tape->numOutputs() ==
+                        numFeatures_ + objective.numPenalties,
+                    "FusedGradStep: objective outputs don't match "
+                    "features + penalties");
 }
 
 void
-FusedGradStep::run(const double *inputs, size_t width,
-                   double *scores, double *inputGrads,
-                   expr::BatchEvalState &tape,
-                   PredictScratch &scratch) const
+FusedGradStep::run(TapeSubBatch *subs, size_t numSubs, size_t width,
+                   double *scores, PredictScratch &scratch) const
 {
     constexpr size_t L = kBatchLanes;
     const Mlp &mlp = model_.mlp();
     const double *means = model_.scaler().means().data();
     const double *stds = model_.scaler().stddevs().data();
 
-    objective_.forwardBatchKeep(inputs, width, tape);
-
-    // Standardize the feature rows straight out of the tape's slot
-    // buffer into the network's input rows — the unfused path's
-    // outputs/scaled copies collapse into this one pass, same
-    // per-lane arithmetic (cost_model.cc
-    // predictTransformedWithGradBatch).
+    // Tape forwards, each standardizing its feature rows straight out
+    // of the slot buffer into the network's input rows at the lanes
+    // its seeds own — the same per-lane arithmetic as
+    // CostModel::predictTransformedWithGrad.
     double *xRows = mlp.stageInputRows(scratch.mlp);
-    for (size_t k = 0; k < numFeatures_; ++k) {
-        const double *in = objective_.outputRowPtr(k, tape);
-        double *out = &xRows[k * L];
-        for (size_t l = 0; l < L; ++l)
-            out[l] = (in[l] - means[k]) / stds[k];
-    }
-
-    double y[kBatchLanes];
-    mlp.forwardInputGradStaged(y, scratch.mlp);
-    for (size_t l = 0; l < L; ++l)
-        scores[l] = model_.targetMean() + y[l];
-
-    // Seed the tape adjoints directly from the MLP gradient rows.
-    // Unfused: grads /= sigma, outputGrads = -grads, adjoint += seed
-    // — three passes. Here: adjoint += -(grad / sigma), the same
-    // operations on the same values in the same order (the adjoint
-    // rows were just zeroed, so += is the identical accumulation).
-    objective_.beginBackwardBatch(tape);
-    const double *gRows = mlp.inputGradRows(scratch.mlp);
-    for (size_t k = 0; k < numFeatures_; ++k) {
-        const double *g = &gRows[k * L];
-        double *adj = objective_.outputAdjRowPtr(k, tape);
-        for (size_t l = 0; l < width; ++l)
-            adj[l] += -(g[l] / stds[k]);
-    }
-    // Penalty seeds: lambda * d(p^2)/dp for violated constraints.
-    // The unfused path writes an explicit 0.0 for satisfied ones and
-    // adds it — a bitwise no-op on the zeroed rows — so skipping the
-    // add entirely is bit-identical.
-    for (size_t p = 0; p < numPenalties_; ++p) {
-        const double *out =
-            objective_.outputRowPtr(numFeatures_ + p, tape);
-        double *adj =
-            objective_.outputAdjRowPtr(numFeatures_ + p, tape);
-        for (size_t l = 0; l < width; ++l) {
-            const double v = out[l];
-            if (v > 0.0)
-                adj[l] += lambda_ * 2.0 * v;
+    for (size_t s = 0; s < numSubs; ++s) {
+        TapeSubBatch &sub = subs[s];
+        const expr::CompiledExprs &tape =
+            *objectives_[sub.objective].tape;
+        const size_t n = sub.lanes.size();
+        tape.forwardBatchKeep(sub.inputs.data(), n, sub.tape);
+        for (size_t k = 0; k < numFeatures_; ++k) {
+            const double *in = tape.outputRowPtr(k, sub.tape);
+            double *out = &xRows[k * L];
+            for (size_t j = 0; j < n; ++j)
+                out[sub.lanes[j]] = (in[j] - means[k]) / stds[k];
         }
     }
 
-    objective_.finishBackwardBatch(inputGrads, tape);
+    double y[kBatchLanes];
+    mlp.forwardInputGradStaged(y, width, scratch.mlp);
+    for (size_t l = 0; l < width; ++l)
+        scores[l] = model_.targetMean() + y[l];
+
+    // Seed each tape's adjoints from the MLP gradient rows at its
+    // lanes: adj += -(grad / sigma), the scalar engine's operations
+    // in its order (the adjoint rows were just zeroed).
+    const double *gRows = mlp.inputGradRows(scratch.mlp);
+    for (size_t s = 0; s < numSubs; ++s) {
+        TapeSubBatch &sub = subs[s];
+        const Objective &objective = objectives_[sub.objective];
+        const expr::CompiledExprs &tape = *objective.tape;
+        const size_t n = sub.lanes.size();
+        tape.beginBackwardBatch(sub.tape);
+        for (size_t k = 0; k < numFeatures_; ++k) {
+            const double *g = &gRows[k * L];
+            double *adj = tape.outputAdjRowPtr(k, sub.tape);
+            for (size_t j = 0; j < n; ++j)
+                adj[j] += -(g[sub.lanes[j]] / stds[k]);
+        }
+        // Penalty seeds: lambda * d(p^2)/dp for violated
+        // constraints. The scalar engine adds an explicit 0.0 for
+        // satisfied ones — a bitwise no-op on the zeroed rows — so
+        // skipping the add is bit-identical.
+        for (size_t p = 0; p < objective.numPenalties; ++p) {
+            const double *out =
+                tape.outputRowPtr(numFeatures_ + p, sub.tape);
+            double *adj =
+                tape.outputAdjRowPtr(numFeatures_ + p, sub.tape);
+            for (size_t j = 0; j < n; ++j) {
+                const double v = out[j];
+                if (v > 0.0)
+                    adj[j] += lambda_ * 2.0 * v;
+            }
+        }
+        sub.inputGrads.resize(tape.numVars() * L);
+        tape.finishBackwardBatch(sub.inputGrads.data(), sub.tape);
+    }
 }
 
 } // namespace costmodel

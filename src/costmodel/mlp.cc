@@ -153,7 +153,7 @@ Mlp::forwardInputGrad(const std::vector<double> &x,
 }
 
 void
-Mlp::forwardLayerBatch(const Layer &layer, bool hidden,
+Mlp::forwardLayerBatch(const Layer &layer, bool hidden, size_t lanes,
                        const AlignedRows &cur, AlignedRows &out)
 {
     // The blocked kernel (four neurons share each input-row load;
@@ -164,26 +164,7 @@ Mlp::forwardLayerBatch(const Layer &layer, bool hidden,
     out.resize(static_cast<size_t>(layer.out) * kBatchLanes);
     simd::activeKernels().mlpForwardLayer(
         layer.weight.data(), layer.bias.data(), layer.in, layer.out,
-        hidden, cur.data(), out.data());
-}
-
-/**
- * Scalar-lane fallback test for the batched entry points.
- *
- * The blocked batch kernels keep kBlock accumulator *rows* live;
- * at lane width 1 a row is 16 scalars, so the register allocator
- * spills the 4x16 (forward) / 8x16 (backward) accumulator tile to
- * the stack on every iteration — BENCH_tape.json showed
- * mlp_input_grad/batch/simd=scalar at ~12k pts/s versus ~32k for
- * the plain scalar path. Gathering each lane and running the
- * scalar network is faster AND bit-identical: the batch contract
- * already guarantees every lane equals a scalar forward() of that
- * point, which is exactly what this computes.
- */
-static bool
-useScalarLanes()
-{
-    return simd::activeKernels().width == 1;
+        hidden, static_cast<int>(lanes), cur.data(), out.data());
 }
 
 void
@@ -191,22 +172,11 @@ Mlp::forwardBatch(const double *x, double *y,
                   MlpBatchScratch &scratch) const
 {
     constexpr size_t L = kBatchLanes;
-    if (useScalarLanes()) {
-        std::vector<double> &in = scratch.laneIn;
-        in.resize(static_cast<size_t>(inputSize()));
-        for (size_t l = 0; l < L; ++l) {
-            for (int i = 0; i < inputSize(); ++i)
-                in[static_cast<size_t>(i)] =
-                    x[static_cast<size_t>(i) * L + l];
-            y[l] = forward(in, scratch.lane);
-        }
-        return;
-    }
     AlignedRows &cur = scratch.cur;
     AlignedRows &next = scratch.next;
     cur.assign(x, x + static_cast<size_t>(inputSize()) * L);
     for (size_t li = 0; li < layers_.size(); ++li) {
-        forwardLayerBatch(layers_[li], li + 1 < layers_.size(), cur,
+        forwardLayerBatch(layers_[li], li + 1 < layers_.size(), L, cur,
                           next);
         cur.swap(next);
     }
@@ -224,37 +194,25 @@ Mlp::stageInputRows(MlpBatchScratch &scratch) const
 }
 
 void
-Mlp::forwardInputGradStaged(double *y,
+Mlp::forwardInputGradStaged(double *y, size_t lanes,
                             MlpBatchScratch &scratch) const
 {
     constexpr size_t L = kBatchLanes;
+    FELIX_CHECK(lanes >= 1 && lanes <= L, "forwardInputGradStaged: ",
+                lanes, " lanes out of [1, ", L, "]");
     std::vector<AlignedRows> &acts = scratch.acts;
-
-    if (useScalarLanes()) {
-        // See the width-1 note above forwardBatch; the gradient
-        // rows land in scratch.adj exactly like the batched sweep.
-        const double *x = acts[0].data();
-        scratch.adj.assign(static_cast<size_t>(inputSize()) * L,
-                           0.0);
-        std::vector<double> &in = scratch.laneIn;
-        std::vector<double> &dxLane = scratch.laneDx;
-        in.resize(static_cast<size_t>(inputSize()));
-        for (size_t l = 0; l < L; ++l) {
-            for (int i = 0; i < inputSize(); ++i)
-                in[static_cast<size_t>(i)] =
-                    x[static_cast<size_t>(i) * L + l];
-            y[l] = forwardInputGrad(in, dxLane, scratch.lane);
-            for (int i = 0; i < inputSize(); ++i)
-                scratch.adj[static_cast<size_t>(i) * L + l] =
-                    dxLane[static_cast<size_t>(i)];
-        }
-        return;
+    const size_t width =
+        static_cast<size_t>(simd::activeKernels().width);
+    const size_t sweep = (lanes + width - 1) / width * width;
+    for (size_t i = 0; i < static_cast<size_t>(inputSize()); ++i) {
+        double *row = acts[0].data() + i * L;
+        std::fill(row + lanes, row + sweep, 0.0);
     }
 
     for (size_t li = 0; li < layers_.size(); ++li)
-        forwardLayerBatch(layers_[li], li + 1 < layers_.size(),
+        forwardLayerBatch(layers_[li], li + 1 < layers_.size(), lanes,
                           acts[li], acts[li + 1]);
-    for (size_t l = 0; l < L; ++l)
+    for (size_t l = 0; l < lanes; ++l)
         y[l] = acts.back()[l];
 
     AlignedRows &adj = scratch.adj;
@@ -281,7 +239,8 @@ Mlp::forwardInputGradStaged(double *y,
         prev.assign(static_cast<size_t>(layer.in) * L, 0.0);
         simd::activeKernels().mlpBackwardLayer(
             layer.weight.data(), layer.in, layer.out, hidden,
-            out.data(), adj.data(), madj.data(), prev.data());
+            static_cast<int>(lanes), out.data(), adj.data(),
+            madj.data(), prev.data());
         adj.swap(prev);
     }
 }
@@ -294,7 +253,7 @@ Mlp::forwardInputGradBatch(const double *x, double *y, double *dx,
     const size_t inRows = static_cast<size_t>(inputSize()) * L;
     double *rows = stageInputRows(scratch);
     std::copy(x, x + inRows, rows);
-    forwardInputGradStaged(y, scratch);
+    forwardInputGradStaged(y, L, scratch);
     const double *g = inputGradRows(scratch);
     for (size_t i = 0; i < inRows; ++i)
         dx[i] = g[i];
@@ -336,7 +295,7 @@ Mlp::trainForwardBackward(const std::vector<std::vector<double>> &xs,
         }
         for (size_t li = 0; li < numLayers; ++li)
             forwardLayerBatch(layers_[li], li + 1 < numLayers,
-                              acts[li], acts[li + 1]);
+                              batch.lanes, acts[li], acts[li + 1]);
 
         // Output adjoint 2*err/n per live lane, +0.0 on padding.
         adjs.back().assign(L, 0.0);
@@ -355,7 +314,8 @@ Mlp::trainForwardBackward(const std::vector<std::vector<double>> &xs,
             adjs[li - 1].assign(static_cast<size_t>(layer.in) * L, 0.0);
             kernels.mlpBackwardLayer(
                 layer.weight.data(), layer.in, layer.out,
-                li + 1 < numLayers, acts[li + 1].data(),
+                li + 1 < numLayers, static_cast<int>(batch.lanes),
+                acts[li + 1].data(),
                 adjs[li].data(), batch.madj.data(), adjs[li - 1].data());
         }
         // The weight-gradient kernel reduces over lanes, so it reads

@@ -52,12 +52,6 @@ struct MlpBatchScratch
     std::vector<AlignedRows> acts;
     AlignedRows adj, prev;
     AlignedRows madj;  ///< ReLU-masked adjoint rows
-
-    // Scalar-lane fallback buffers (see the width-1 note on
-    // Mlp::forwardBatch): per-lane gather/scatter staging plus one
-    // scalar scratch, reused across lanes and calls.
-    MlpScratch lane;
-    std::vector<double> laneIn, laneDx;
 };
 
 /** MLP shape: sizes of every layer including input and output. */
@@ -139,10 +133,14 @@ class Mlp
      *  forwardInputGradStaged(). Sized on first use. */
     double *stageInputRows(MlpBatchScratch &scratch) const;
 
-    /** forwardInputGradBatch reading inputs from stageInputRows()
-     *  and leaving the input-gradient rows in @p scratch (read them
-     *  via inputGradRows()). y is one row of scores. */
-    void forwardInputGradStaged(double *y,
+    /** forwardInputGradBatch over the first @p lanes lanes
+     *  (1..kBatchLanes) of the stageInputRows() rows, leaving the
+     *  input-gradient rows in @p scratch (read them via
+     *  inputGradRows()). Fills y[0..lanes). The layer kernels sweep
+     *  only those lanes rounded up to the backend's vector width;
+     *  this zeroes the input rows' padding lanes in that range, so
+     *  callers fill the occupied lanes only. */
+    void forwardInputGradStaged(double *y, size_t lanes,
                                 MlpBatchScratch &scratch) const;
 
     /** Input-gradient rows left by forwardInputGradStaged(); valid
@@ -210,7 +208,7 @@ class Mlp
     };
 
     static void forwardLayerBatch(const Layer &layer, bool hidden,
-                                  const AlignedRows &cur,
+                                  size_t lanes, const AlignedRows &cur,
                                   AlignedRows &out);
 
     /** One SoA batch of a training step: up to kBatchLanes samples

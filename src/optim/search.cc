@@ -194,6 +194,9 @@ namespace {
 struct SeedOutcome
 {
     std::vector<double> visitedScores;
+    std::vector<double> x0;        ///< valid start point (x space)
+    /** The iterate after every Adam step: nSteps rows of numVars. */
+    std::vector<double> iterates;
     /** Valid rounded points in visit order (x0 last). */
     std::vector<std::vector<double>> validPoints;
     int roundingAttempts = 0;
@@ -203,14 +206,15 @@ struct SeedOutcome
 /**
  * Per-worker scratch for the batched descent and ranking paths:
  * tape + model buffers plus the SoA staging rows, allocated once per
- * worker thread and reused across batches and rounds.
+ * worker thread and reused across lane groups, batches and rounds.
  */
 struct WorkerBatchScratch
 {
     expr::BatchEvalState tape;
     costmodel::PredictScratch predict;
-    std::vector<double> inputs, outputs, inputGrads;
-    std::vector<double> laneGrad, logPoint;
+    std::vector<double> inputs, outputs;
+    std::vector<costmodel::TapeSubBatch> subs;
+    std::vector<double> laneGrad;
 };
 
 WorkerBatchScratch &
@@ -231,169 +235,166 @@ GradientSearch::round(const costmodel::CostModel &model, Rng &rng)
     RoundResult result;
     result.trace.seedsLaunched = options_.nSeeds;
     const int numFeatures = features::kNumFeatures;
+    const size_t numSeeds = static_cast<size_t>(options_.nSeeds);
+    const size_t numSteps = static_cast<size_t>(options_.nSteps);
+    const size_t numSketches = contexts_.size();
 
     // Each seed descends independently: forked rng, private Adam
     // state and eval scratch, results merged below in seed order so
-    // --jobs N matches --jobs 1 bit for bit.
+    // --jobs N matches --jobs 1 bit for bit. Seed s descends on
+    // sketch s % numSketches.
     std::vector<Rng> seedRngs = rng.forkStreams(options_.nSeeds);
-    std::vector<SeedOutcome> outcomes(options_.nSeeds);
+    std::vector<SeedOutcome> outcomes(numSeeds);
+
+    // RandomInitSchedVars: rejection-sample a valid start; with the
+    // e^y substitution the iterate lives in log space. One seed
+    // warm-starts from the best measured schedule so late rounds
+    // refine around the incumbent (Ansor keeps elites the same way).
+    auto startSeed = [&](size_t seed, std::vector<double> &y) {
+        const size_t sketchIdx = seed % numSketches;
+        SeedOutcome &outcome = outcomes[seed];
+        if (seed == 0 && bestMeasuredLatency_ > 0.0 &&
+            bestMeasured_.sketchIndex == static_cast<int>(sketchIdx)) {
+            outcome.x0 = bestMeasured_.x;
+        } else {
+            outcome.x0 = sketch::sampleValid(*contexts_[sketchIdx].sched,
+                                             seedRngs[seed]);
+        }
+        y.resize(outcome.x0.size());
+        for (size_t i = 0; i < y.size(); ++i) {
+            y[i] = options_.applyLogExp
+                       ? std::log(std::max(1.0, outcome.x0[i]))
+                       : outcome.x0[i];
+        }
+        outcome.iterates.reserve(numSteps * y.size());
+    };
 
     if (options_.useBatch) {
-        // Seeds sharing a sketch descend in lockstep batches of up
-        // to kBatchLanes lanes through the batched tape and the
-        // batched MLP. Batch composition depends only on seed
-        // indices (never on --jobs), each lane carries exactly the
-        // per-seed state the scalar path would (rng, Adam, iterate),
-        // and every batched kernel is per-lane bit-identical to its
-        // scalar counterpart — so the outcome per seed is
-        // bit-identical to the scalar branch below.
-        struct SeedBatch
-        {
-            int sketchIdx = 0;
-            std::vector<int> seeds;
-        };
-        std::vector<SeedBatch> batches;
-        for (size_t sk = 0; sk < contexts_.size(); ++sk) {
-            SeedBatch cur{static_cast<int>(sk), {}};
-            for (int seed = 0; seed < options_.nSeeds; ++seed) {
-                if (seed % static_cast<int>(contexts_.size()) !=
-                    static_cast<int>(sk))
-                    continue;
-                cur.seeds.push_back(seed);
-                if (cur.seeds.size() == kBatchLanes) {
-                    batches.push_back(std::move(cur));
-                    cur = SeedBatch{static_cast<int>(sk), {}};
-                }
+        // Seeds descend in lockstep lane groups of up to kBatchLanes
+        // seeds; each sketch's seeds in a group form one tape
+        // sub-batch, and one MLP pass per step serves the whole group
+        // over its occupied lanes (costmodel/fused.h). On one thread
+        // all of a round's seeds share groups whatever their sketch,
+        // so a step pays one MLP pass for every sketch. With spare
+        // workers each sketch's seeds form their own groups instead,
+        // and the sketches' tape sweeps run side by side. Each lane
+        // carries exactly the per-seed state the scalar path would
+        // (rng, Adam, iterate), and every batched kernel is per-lane
+        // bit-identical to its scalar counterpart whatever lane it
+        // runs in — so the outcome per seed is bit-identical to the
+        // scalar branch below under either grouping.
+        constexpr size_t L = kBatchLanes;
+        const size_t groupSketches = globalJobs() > 1 ? numSketches : 1;
+        std::vector<std::vector<size_t>> groups;
+        for (size_t sk = 0; sk < groupSketches; ++sk) {
+            for (size_t seed = sk; seed < numSeeds;
+                 seed += groupSketches) {
+                if (seed == sk || groups.back().size() == L)
+                    groups.emplace_back();
+                groups.back().push_back(seed);
             }
-            if (!cur.seeds.empty())
-                batches.push_back(std::move(cur));
         }
+        // Which sketches a group holds, in order of first lane.
+        auto groupObjectives = [&](const std::vector<size_t> &seeds) {
+            std::vector<size_t> objectives;
+            for (size_t seed : seeds)
+                if (std::find(objectives.begin(), objectives.end(),
+                              seed % numSketches) == objectives.end())
+                    objectives.push_back(seed % numSketches);
+            return objectives;
+        };
+        size_t tapeBatches = 0;
+        for (const std::vector<size_t> &seeds : groups)
+            tapeBatches += groupObjectives(seeds).size();
         registry.counter("search.seed_batches")
-            .add(static_cast<double>(batches.size()));
+            .add(static_cast<double>(groups.size()));
+        registry.counter("search.tape_batches")
+            .add(static_cast<double>(tapeBatches));
 
-        // One fused stepper per sketch, shared by all workers (it is
-        // immutable; per-worker state lives in WorkerBatchScratch).
-        std::vector<costmodel::FusedGradStep> fusedSteps;
-        fusedSteps.reserve(contexts_.size());
+        std::vector<costmodel::FusedGradStep::Objective> objectives;
+        objectives.reserve(numSketches);
         for (const SketchContext &context : contexts_)
-            fusedSteps.emplace_back(*context.objective, model,
-                                    static_cast<size_t>(numFeatures),
-                                    context.numPenalties,
-                                    options_.lambda);
+            objectives.push_back(
+                {context.objective.get(), context.numPenalties});
+        const costmodel::FusedGradStep fused(
+            std::move(objectives), model,
+            static_cast<size_t>(numFeatures), options_.lambda);
 
-        parallelFor("search.seed_batch", batches.size(), [&](size_t
-                                                                bi) {
-            const SeedBatch &batch = batches[bi];
-            const SketchContext &context = contexts_[batch.sketchIdx];
-            const size_t numVars = context.varNames.size();
-            const size_t width = batch.seeds.size();
-            constexpr size_t L = kBatchLanes;
+        parallelFor("search.seed_batch", groups.size(), [&](size_t g) {
+            const std::vector<size_t> &seeds = groups[g];
+            const size_t width = seeds.size();
+            WorkerBatchScratch &ws = workerScratch();
 
-            std::vector<std::vector<double>> x0(width), y(width);
+            const std::vector<size_t> subObjectives =
+                groupObjectives(seeds);
+            const size_t numSubs = subObjectives.size();
+            if (ws.subs.size() < numSubs)
+                ws.subs.resize(numSubs);
+            for (size_t s = 0; s < numSubs; ++s) {
+                costmodel::TapeSubBatch &sub = ws.subs[s];
+                sub.objective = subObjectives[s];
+                sub.lanes.clear();
+                for (size_t l = 0; l < width; ++l)
+                    if (seeds[l] % numSketches == sub.objective)
+                        sub.lanes.push_back(l);
+                sub.inputs.resize(
+                    contexts_[sub.objective].varNames.size() * L);
+            }
+
+            std::vector<std::vector<double>> y(width);
             std::vector<Adam> adams;
             adams.reserve(width);
             for (size_t l = 0; l < width; ++l) {
-                const int seed = batch.seeds[l];
-                Rng &seedRng = seedRngs[seed];
-                if (seed == 0 && bestMeasuredLatency_ > 0.0 &&
-                    bestMeasured_.sketchIndex == batch.sketchIdx) {
-                    x0[l] = bestMeasured_.x;
-                } else {
-                    x0[l] =
-                        sketch::sampleValid(*context.sched, seedRng);
-                }
-                y[l].resize(numVars);
-                for (size_t i = 0; i < numVars; ++i) {
-                    y[l][i] = options_.applyLogExp
-                                  ? std::log(std::max(1.0, x0[l][i]))
-                                  : x0[l][i];
-                }
-                adams.emplace_back(numVars, options_.adam);
+                startSeed(seeds[l], y[l]);
+                adams.emplace_back(y[l].size(), options_.adam);
             }
 
-            WorkerBatchScratch &ws = workerScratch();
-            ws.inputs.resize(numVars * L);
-            ws.inputGrads.resize(numVars * L);
-            ws.laneGrad.resize(numVars);
             double scores[kBatchLanes];
-
-            for (int step = 0; step < options_.nSteps; ++step) {
+            for (size_t step = 0; step < numSteps; ++step) {
+                for (size_t s = 0; s < numSubs; ++s) {
+                    costmodel::TapeSubBatch &sub = ws.subs[s];
+                    for (size_t j = 0; j < sub.lanes.size(); ++j) {
+                        const std::vector<double> &yl = y[sub.lanes[j]];
+                        for (size_t v = 0; v < yl.size(); ++v)
+                            sub.inputs[v * L + j] = yl[v];
+                    }
+                }
+                fused.run(ws.subs.data(), numSubs, width, scores,
+                          ws.predict);
                 for (size_t l = 0; l < width; ++l)
-                    for (size_t v = 0; v < numVars; ++v)
-                        ws.inputs[v * L + l] = y[l][v];
-                // Tape forward, MLP score and input gradient, tape
-                // backward in one pass with the feature rows kept
-                // inside the engines' SoA buffers (costmodel/fused.h).
-                fusedSteps[batch.sketchIdx].run(
-                    ws.inputs.data(), width, scores,
-                    ws.inputGrads.data(), ws.tape, ws.predict);
-                for (size_t l = 0; l < width; ++l)
-                    outcomes[batch.seeds[l]].visitedScores.push_back(
+                    outcomes[seeds[l]].visitedScores.push_back(
                         scores[l]);
 
-                for (size_t l = 0; l < width; ++l) {
-                    SeedOutcome &outcome = outcomes[batch.seeds[l]];
-                    for (size_t v = 0; v < numVars; ++v)
-                        ws.laneGrad[v] = ws.inputGrads[v * L + l];
-                    adams[l].step(y[l], ws.laneGrad);
-
-                    ws.logPoint = y[l];
-                    if (!options_.applyLogExp) {
-                        for (double &v : ws.logPoint)
-                            v = std::log(std::max(1e-9, v));
-                    }
-                    auto rounded = sketch::roundToValid(
-                        *context.sched, ws.logPoint,
-                        *context.checker);
-                    ++outcome.roundingAttempts;
-                    if (rounded) {
-                        outcome.validPoints.push_back(
-                            std::move(*rounded));
-                    } else {
-                        ++outcome.roundingInvalid;
+                for (size_t s = 0; s < numSubs; ++s) {
+                    const costmodel::TapeSubBatch &sub = ws.subs[s];
+                    for (size_t j = 0; j < sub.lanes.size(); ++j) {
+                        const size_t l = sub.lanes[j];
+                        ws.laneGrad.resize(y[l].size());
+                        for (size_t v = 0; v < y[l].size(); ++v)
+                            ws.laneGrad[v] = sub.inputGrads[v * L + j];
+                        adams[l].step(y[l], ws.laneGrad);
+                        std::vector<double> &iterates =
+                            outcomes[seeds[l]].iterates;
+                        iterates.insert(iterates.end(), y[l].begin(),
+                                        y[l].end());
                     }
                 }
             }
-            for (size_t l = 0; l < width; ++l)
-                outcomes[batch.seeds[l]].validPoints.push_back(
-                    std::move(x0[l]));
         });
     } else {
-    parallelFor("search.seed_descent", options_.nSeeds, [&](size_t
-                                                                seed) {
-        const int sketchIdx =
-            static_cast<int>(seed % contexts_.size());
-        const SketchContext &context = contexts_[sketchIdx];
-        const size_t numVars = context.varNames.size();
-        Rng &seedRng = seedRngs[seed];
+    parallelFor("search.seed_descent", numSeeds, [&](size_t seed) {
+        const SketchContext &context = contexts_[seed % numSketches];
         SeedOutcome &outcome = outcomes[seed];
+        std::vector<double> y;
+        startSeed(seed, y);
 
-        // RandomInitSchedVars: rejection-sample a valid start; with
-        // the e^y substitution the iterate lives in log space. One
-        // seed warm-starts from the best measured schedule so late
-        // rounds refine around the incumbent (Ansor keeps elites the
-        // same way).
-        std::vector<double> x0;
-        if (seed == 0 && bestMeasuredLatency_ > 0.0 &&
-            bestMeasured_.sketchIndex == sketchIdx) {
-            x0 = bestMeasured_.x;
-        } else {
-            x0 = sketch::sampleValid(*context.sched, seedRng);
-        }
-        std::vector<double> y(numVars);
-        for (size_t i = 0; i < numVars; ++i) {
-            y[i] = options_.applyLogExp
-                       ? std::log(std::max(1.0, x0[i]))
-                       : x0[i];
-        }
-
-        Adam adam(numVars, options_.adam);
+        Adam adam(y.size(), options_.adam);
         expr::EvalState evalState;
         std::vector<double> outputs, outputGrads, inputGrads;
         std::vector<double> modelInputs(numFeatures);
         std::vector<double> modelGrad;
 
-        for (int step = 0; step < options_.nSteps; ++step) {
+        for (size_t step = 0; step < numSteps; ++step) {
             context.objective->forward(y, outputs, evalState);
             for (int k = 0; k < numFeatures; ++k)
                 modelInputs[k] = outputs[k];
@@ -416,26 +417,44 @@ GradientSearch::round(const costmodel::CostModel &model, Rng &rng)
             context.objective->backward(outputGrads, inputGrads,
                                         evalState);
             adam.step(y, inputGrads);
-
-            // Round the newly visited point to a valid schedule and
-            // remember it (GetValidSchedules over the whole history).
-            std::vector<double> logPoint = y;
-            if (!options_.applyLogExp) {
-                for (double &v : logPoint)
-                    v = std::log(std::max(1e-9, v));
-            }
-            auto rounded = sketch::roundToValid(
-                *context.sched, logPoint, *context.checker);
-            ++outcome.roundingAttempts;
-            if (rounded) {
-                outcome.validPoints.push_back(std::move(*rounded));
-            } else {
-                ++outcome.roundingInvalid;
-            }
+            outcome.iterates.insert(outcome.iterates.end(), y.begin(),
+                                    y.end());
         }
-        // The starting point is a valid schedule too.
-        outcome.validPoints.push_back(std::move(x0));
     });
+    }
+
+    // Round every visited iterate to a valid schedule
+    // (GetValidSchedules over the whole history). Rounding is pure
+    // and nothing in the descent reads it, so it runs here, off the
+    // descent's critical path, in parallel over seeds.
+    {
+        FELIX_SPAN("search.round_to_valid", "search");
+        parallelFor("search.round_seed", numSeeds, [&](size_t seed) {
+            const SketchContext &context =
+                contexts_[seed % numSketches];
+            const size_t numVars = context.varNames.size();
+            SeedOutcome &outcome = outcomes[seed];
+            std::vector<double> logPoint(numVars);
+            for (size_t step = 0; step < numSteps; ++step) {
+                const double *iterate =
+                    outcome.iterates.data() + step * numVars;
+                logPoint.assign(iterate, iterate + numVars);
+                if (!options_.applyLogExp) {
+                    for (double &v : logPoint)
+                        v = std::log(std::max(1e-9, v));
+                }
+                auto rounded = sketch::roundToValid(
+                    *context.sched, logPoint, *context.checker);
+                ++outcome.roundingAttempts;
+                if (rounded) {
+                    outcome.validPoints.push_back(std::move(*rounded));
+                } else {
+                    ++outcome.roundingInvalid;
+                }
+            }
+            // The starting point is a valid schedule too.
+            outcome.validPoints.push_back(std::move(outcome.x0));
+        });
     }
 
     // Deduplicated valid candidates across all seeds and steps,
@@ -451,9 +470,8 @@ GradientSearch::round(const costmodel::CostModel &model, Rng &rng)
             totalPoints += outcome.validPoints.size();
         seen.reserve(totalPoints);
     }
-    for (int seed = 0; seed < options_.nSeeds; ++seed) {
-        const int sketchIdx =
-            static_cast<int>(seed % contexts_.size());
+    for (size_t seed = 0; seed < numSeeds; ++seed) {
+        const int sketchIdx = static_cast<int>(seed % numSketches);
         SeedOutcome &outcome = outcomes[seed];
         result.trace.visitedScores.insert(
             result.trace.visitedScores.end(),

@@ -43,19 +43,25 @@ struct KernelSet
     void (*tapeBackward)(const expr::TapeProgram &program,
                          const double *vals, double *adjs);
 
+    // The two MLP layer kernels below sweep only the first @p lanes
+    // lanes of each row (1..kBatchLanes), rounded up to whole
+    // vectors of the backend; the rest of a row is neither read nor
+    // written. Rows keep their kBatchLanes stride, and the swept
+    // padding lanes must hold finite values.
+
     /** One batched MLP layer forward: out_rows[o*L+l] from
      *  cur[i*L+l], with ReLU when hidden. */
     void (*mlpForwardLayer)(const double *weights, const double *bias,
-                            int in, int out, bool hidden,
+                            int in, int out, bool hidden, int lanes,
                             const double *cur, double *out_rows);
     /** One batched MLP layer of the input-gradient backward: fills
      *  the masked adjoint rows madj from adj/out_acts and
      *  accumulates prev[i*L+l] += madj[o*L+l] * w[o][i] in the
      *  blocked scalar order (prev must arrive zeroed). */
     void (*mlpBackwardLayer)(const double *weights, int in, int out,
-                             bool hidden, const double *out_acts,
-                             const double *adj, double *madj,
-                             double *prev);
+                             bool hidden, int lanes,
+                             const double *out_acts, const double *adj,
+                             double *madj, double *prev);
     /** One batched MLP layer of the training backward: the weight
      *  and bias gradients over the first @p lanes samples.
      *  in_lanes holds the layer's inputs lane-major

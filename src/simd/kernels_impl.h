@@ -193,42 +193,51 @@ tapeBackwardT(const expr::TapeProgram &program, const double *vals,
     }
 }
 
-/** Blocked batched MLP layer forward (Mlp::forwardLayerBatch): four
- *  neurons share each input-row load; per lane the accumulation
- *  order stays bias first, then inputs 0..in-1. */
+/** Lanes a layer kernel sweeps for @p lanes occupied lanes: whole
+ *  vectors of the backend, never past the row. */
 template <class V>
+std::size_t
+sweptLanes(int lanes)
+{
+    constexpr std::size_t W = V::kWidth;
+    return (static_cast<std::size_t>(lanes) + W - 1) / W * W;
+}
+
+/** mlpForwardLayerT over lanes [lane0, lane0 + T * kWidth): kBlock
+ *  neurons share each input-row load, T vectors per neuron. */
+template <class V, std::size_t T>
 void
-mlpForwardLayerT(const double *weights, const double *bias, int in,
-                 int out, bool hidden, const double *cur,
-                 double *out_rows)
+mlpForwardTile(const double *weights, const double *bias, int in,
+               int out, bool hidden, const double *cur,
+               double *out_rows, std::size_t lane0)
 {
     constexpr std::size_t L = kBatchLanes;
     constexpr std::size_t W = V::kWidth;
-    constexpr std::size_t C = L / W; // chunks per row
     const V zero = V::broadcast(0.0);
     constexpr int kBlock = 4;
     const int fullEnd = out - out % kBlock;
     for (int ob = 0; ob < fullEnd; ob += kBlock) {
-        V acc[kBlock][C];
+        V acc[kBlock][T];
         for (int b = 0; b < kBlock; ++b)
-            for (std::size_t ch = 0; ch < C; ++ch)
+            for (std::size_t ch = 0; ch < T; ++ch)
                 acc[b][ch] = V::broadcast(bias[ob + b]);
         for (int i = 0; i < in; ++i) {
             const double *curRow =
-                cur + static_cast<std::size_t>(i) * L;
+                cur + static_cast<std::size_t>(i) * L + lane0;
             for (int b = 0; b < kBlock; ++b) {
                 const V w = V::broadcast(
                     weights[static_cast<std::size_t>(ob + b) * in +
                             i]);
-                for (std::size_t ch = 0; ch < C; ++ch)
+                for (std::size_t ch = 0; ch < T; ++ch)
                     acc[b][ch] =
                         acc[b][ch] + w * V::load(curRow + ch * W);
             }
         }
         for (int b = 0; b < kBlock; ++b) {
-            double *outRow =
-                out_rows + static_cast<std::size_t>(ob + b) * L;
-            for (std::size_t ch = 0; ch < C; ++ch) {
+            double *outRow = out_rows +
+                             static_cast<std::size_t>(ob + b) * L +
+                             lane0;
+            for (std::size_t ch = 0; ch < T; ++ch) {
                 V a = acc[b][ch];
                 if (hidden)
                     a = select(clt(a, zero), zero, a);
@@ -237,20 +246,21 @@ mlpForwardLayerT(const double *weights, const double *bias, int in,
         }
     }
     for (int o = fullEnd; o < out; ++o) {
-        V acc[C];
-        for (std::size_t ch = 0; ch < C; ++ch)
+        V acc[T];
+        for (std::size_t ch = 0; ch < T; ++ch)
             acc[ch] = V::broadcast(bias[o]);
         const double *row =
             weights + static_cast<std::size_t>(o) * in;
         for (int i = 0; i < in; ++i) {
             const V w = V::broadcast(row[i]);
             const double *curRow =
-                cur + static_cast<std::size_t>(i) * L;
-            for (std::size_t ch = 0; ch < C; ++ch)
+                cur + static_cast<std::size_t>(i) * L + lane0;
+            for (std::size_t ch = 0; ch < T; ++ch)
                 acc[ch] = acc[ch] + w * V::load(curRow + ch * W);
         }
-        double *outRow = out_rows + static_cast<std::size_t>(o) * L;
-        for (std::size_t ch = 0; ch < C; ++ch) {
+        double *outRow =
+            out_rows + static_cast<std::size_t>(o) * L + lane0;
+        for (std::size_t ch = 0; ch < T; ++ch) {
             V a = acc[ch];
             if (hidden)
                 a = select(clt(a, zero), zero, a);
@@ -259,25 +269,87 @@ mlpForwardLayerT(const double *weights, const double *bias, int in,
     }
 }
 
-/** One layer of Mlp::forwardInputGradBatch's backward: the masked
+/** Blocked batched MLP layer forward (Mlp::forwardLayerBatch) over
+ *  the first @p lanes lanes, rounded up to whole vectors; per lane
+ *  the accumulation order stays bias first, then inputs 0..in-1.
+ *  The accumulator tile is kBlock neurons x kTile vectors at every
+ *  width, so it stays in registers: a tile as wide as the row (16
+ *  lanes) is 64 live accumulators at width 1, which spilled on
+ *  every multiply-add. Tiling only moves lanes between passes; no
+ *  lane's operation sequence changes. */
+template <class V>
+void
+mlpForwardLayerT(const double *weights, const double *bias, int in,
+                 int out, bool hidden, int lanes, const double *cur,
+                 double *out_rows)
+{
+    constexpr std::size_t W = V::kWidth;
+    constexpr std::size_t kTile = 2;
+    const std::size_t chunks = sweptLanes<V>(lanes) / W;
+    std::size_t ch = 0;
+    for (; ch + kTile <= chunks; ch += kTile)
+        mlpForwardTile<V, kTile>(weights, bias, in, out, hidden, cur,
+                                 out_rows, ch * W);
+    for (; ch < chunks; ++ch)
+        mlpForwardTile<V, 1>(weights, bias, in, out, hidden, cur,
+                             out_rows, ch * W);
+}
+
+/** Neurons [ob, ob + NB) of mlpBackwardLayerT's accumulate: the
+ *  block's weights for input i stay in registers across the lane
+ *  chunks, and per (input, lane) the additions run in ascending
+ *  neuron order. */
+template <class V, int NB>
+void
+mlpBackwardBlock(const double *weights, int in, int ob,
+                 std::size_t sweep, const double *madj, double *prev)
+{
+    constexpr std::size_t L = kBatchLanes;
+    constexpr std::size_t W = V::kWidth;
+    for (int i = 0; i < in; ++i) {
+        // Unrolled so the weights live in registers: without it -O2
+        // keeps w[] on the stack and reloads it per lane chunk.
+        V w[NB];
+#pragma GCC unroll 8
+        for (int b = 0; b < NB; ++b)
+            w[b] = V::broadcast(
+                weights[static_cast<std::size_t>(ob + b) * in + i]);
+        double *pRow = prev + static_cast<std::size_t>(i) * L;
+        for (std::size_t l = 0; l < sweep; l += W) {
+            V p = V::load(pRow + l);
+#pragma GCC unroll 8
+            for (int b = 0; b < NB; ++b)
+                p = p + V::load(madj +
+                                static_cast<std::size_t>(ob + b) * L +
+                                l) *
+                            w[b];
+            p.store(pRow + l);
+        }
+    }
+}
+
+/** One layer of Mlp::forwardInputGradStaged's backward over the
+ *  first @p lanes lanes, rounded up to whole vectors: the masked
  *  adjoint rows (madj = gate ? adj : 0 BEFORE the multiplies — the
- *  -0.0 argument in mlp.cc), then the 8-neuron blocked accumulate;
- *  per (input, lane) additions run in ascending neuron order. */
+ *  -0.0 argument in mlp.cc), then the 8-neuron blocked accumulate
+ *  (a ragged tail of neurons one at a time); per (input, lane)
+ *  additions run in ascending neuron order. */
 template <class V>
 void
 mlpBackwardLayerT(const double *weights, int in, int out, bool hidden,
-                  const double *out_acts, const double *adj,
+                  int lanes, const double *out_acts, const double *adj,
                   double *madj, double *prev)
 {
     constexpr std::size_t L = kBatchLanes;
     constexpr std::size_t W = V::kWidth;
+    const std::size_t sweep = sweptLanes<V>(lanes);
     const V zero = V::broadcast(0.0);
     for (int o = 0; o < out; ++o) {
         const double *outRow =
             out_acts + static_cast<std::size_t>(o) * L;
         const double *aRow = adj + static_cast<std::size_t>(o) * L;
         double *mRow = madj + static_cast<std::size_t>(o) * L;
-        for (std::size_t l = 0; l < L; l += W) {
+        for (std::size_t l = 0; l < sweep; l += W) {
             V a = V::load(aRow + l);
             if (hidden)
                 a = select(cgt(V::load(outRow + l), zero), a, zero);
@@ -285,28 +357,11 @@ mlpBackwardLayerT(const double *weights, int in, int out, bool hidden,
         }
     }
     constexpr int kBlock = 8;
-    for (int ob = 0; ob < out; ob += kBlock) {
-        const int oe = std::min(out, ob + kBlock);
-        for (int i = 0; i < in; ++i) {
-            double *pRow = prev + static_cast<std::size_t>(i) * L;
-            for (std::size_t l = 0; l < L; l += W) {
-                // Keeping the chunk in a register across the block
-                // changes memory traffic only; the per-lane addition
-                // order is untouched.
-                V p = V::load(pRow + l);
-                for (int o = ob; o < oe; ++o) {
-                    const V w = V::broadcast(
-                        weights[static_cast<std::size_t>(o) * in +
-                                i]);
-                    p = p + V::load(madj +
-                                    static_cast<std::size_t>(o) * L +
-                                    l) *
-                                w;
-                }
-                p.store(pRow + l);
-            }
-        }
-    }
+    int ob = 0;
+    for (; ob + kBlock <= out; ob += kBlock)
+        mlpBackwardBlock<V, kBlock>(weights, in, ob, sweep, madj, prev);
+    for (; ob < out; ++ob)
+        mlpBackwardBlock<V, 1>(weights, in, ob, sweep, madj, prev);
 }
 
 /** Weight and bias gradients of one layer in Mlp::trainBatch. The

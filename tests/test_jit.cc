@@ -14,10 +14,12 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -31,6 +33,7 @@
 #include "sim/gpu_model.h"
 #include "simd/kernels.h"
 #include "support/batch.h"
+#include "support/parallel.h"
 #include "support/rng.h"
 #include "tir/ops.h"
 
@@ -234,9 +237,14 @@ TEST(JitParity, ForwardBackwardVsInterpreterEveryBackendEveryWidth)
 
 // ---------------------------------------------------------------
 // Fused step vs the scalar engine (the per-point sequence the
-// --no-batch descent runs): same tape, same model, every backend,
-// every ragged width, JIT on and off. The tape has deliberate
-// penalty outputs so the conditional penalty seeding is exercised.
+// --no-batch descent runs): every backend, every ragged group width,
+// JIT on and off. Group lane l descends on objective tape l % 5 —
+// the packing GradientSearch::round uses for a task with five
+// sketches (the generator makes at most three per task) — and the
+// tapes differ in variable and penalty counts, so one MLP pass
+// serves them all and each tape's rows scatter to and gather from
+// non-contiguous lanes. The penalty outputs exercise the
+// conditional penalty seeding.
 // ---------------------------------------------------------------
 
 TEST(JitParity, FusedStepVsScalarEngineEveryBackendEveryWidth)
@@ -245,15 +253,21 @@ TEST(JitParity, FusedStepVsScalarEngineEveryBackendEveryWidth)
     using expr::Expr;
     constexpr size_t L = kBatchLanes;
     constexpr size_t kFeatures = 5;
-    constexpr size_t kPenalties = 2;
     Rng rng(1618);
-    const std::vector<std::string> vars = {"p", "q", "r"};
-
-    std::vector<Expr> roots;
-    for (size_t k = 0; k < kFeatures + kPenalties; ++k)
-        roots.push_back(randomExpr(rng, vars, 4));
-    CompiledExprs compiled(roots, vars);
-    const size_t numVars = compiled.numVars();
+    constexpr size_t kTapes = 5;
+    const std::vector<std::string> varSets[2] = {{"p", "q", "r"},
+                                                 {"p", "q", "r", "s"}};
+    const size_t penalties[kTapes] = {2, 1, 0, 2, 1};
+    std::vector<std::unique_ptr<CompiledExprs>> tapes;
+    std::vector<costmodel::FusedGradStep::Objective> objectives;
+    for (size_t t = 0; t < kTapes; ++t) {
+        std::vector<Expr> roots;
+        for (size_t k = 0; k < kFeatures + penalties[t]; ++k)
+            roots.push_back(randomExpr(rng, varSets[t % 2], 4));
+        tapes.push_back(
+            std::make_unique<CompiledExprs>(roots, varSets[t % 2]));
+        objectives.push_back({tapes.back().get(), penalties[t]});
+    }
 
     // A small fitted model over kFeatures inputs.
     std::vector<costmodel::Sample> samples(32);
@@ -269,8 +283,8 @@ TEST(JitParity, FusedStepVsScalarEngineEveryBackendEveryWidth)
     model.fit(samples, /*epochs=*/2, /*batch_size=*/16, 1e-3);
 
     const double lambda = 10.0;
-    costmodel::FusedGradStep fused(compiled, model, kFeatures,
-                                   kPenalties, lambda);
+    costmodel::FusedGradStep fused(objectives, model, kFeatures,
+                                   lambda);
 
     const std::vector<int> widths = simd::availableWidths();
     WidthGuard restore(0);
@@ -279,22 +293,23 @@ TEST(JitParity, FusedStepVsScalarEngineEveryBackendEveryWidth)
         for (bool useJit : {false, true}) {
             JitGuard jitState(useJit);
             for (size_t width = 1; width <= L; ++width) {
-                std::vector<double> inputs(numVars * L);
-                for (double &v : inputs)
-                    v = rng.uniform(-2.0, 2.0);
+                std::vector<std::vector<double>> points(width);
+                for (size_t l = 0; l < width; ++l) {
+                    points[l].resize(tapes[l % kTapes]->numVars());
+                    for (double &v : points[l])
+                        v = rng.uniform(-2.0, 2.0);
+                }
 
                 // Scalar reference, lane by lane: the exact sequence
                 // GradientSearch::round runs with useBatch=false.
                 expr::EvalState refState;
-                std::vector<double> point(numVars), outputs,
-                    modelInputs(kFeatures), modelGrad, outputGrads,
-                    laneGrads;
-                std::vector<double> refGrads(numVars * L);
+                std::vector<double> outputs, modelInputs(kFeatures),
+                    modelGrad, outputGrads;
+                std::vector<std::vector<double>> refGrads(width);
                 double refScores[kBatchLanes];
                 for (size_t l = 0; l < width; ++l) {
-                    for (size_t v = 0; v < numVars; ++v)
-                        point[v] = inputs[v * L + l];
-                    compiled.forward(point, outputs, refState);
+                    const CompiledExprs &tape = *tapes[l % kTapes];
+                    tape.forward(points[l], outputs, refState);
                     for (size_t k = 0; k < kFeatures; ++k)
                         modelInputs[k] = outputs[k];
                     refScores[l] = model.predictTransformedWithGrad(
@@ -302,34 +317,44 @@ TEST(JitParity, FusedStepVsScalarEngineEveryBackendEveryWidth)
                     outputGrads.assign(outputs.size(), 0.0);
                     for (size_t k = 0; k < kFeatures; ++k)
                         outputGrads[k] = -modelGrad[k];
-                    for (size_t p = 0; p < kPenalties; ++p) {
+                    for (size_t p = 0; p < penalties[l % kTapes];
+                         ++p) {
                         const double g = outputs[kFeatures + p];
                         if (g > 0.0)
                             outputGrads[kFeatures + p] =
                                 lambda * 2.0 * g;
                     }
-                    compiled.backward(outputGrads, laneGrads,
-                                      refState);
-                    for (size_t v = 0; v < numVars; ++v)
-                        refGrads[v * L + l] = laneGrads[v];
+                    tape.backward(outputGrads, refGrads[l], refState);
                 }
 
-                expr::BatchEvalState fusedState;
+                const size_t numSubs = std::min(width, kTapes);
+                std::vector<costmodel::TapeSubBatch> subs(numSubs);
+                for (size_t t = 0; t < numSubs; ++t) {
+                    subs[t].objective = t;
+                    subs[t].inputs.resize(tapes[t]->numVars() * L);
+                    for (size_t l = t; l < width; l += kTapes) {
+                        const size_t j = subs[t].lanes.size();
+                        subs[t].lanes.push_back(l);
+                        for (size_t v = 0; v < points[l].size(); ++v)
+                            subs[t].inputs[v * L + j] = points[l][v];
+                    }
+                }
                 costmodel::PredictScratch fusedPredict;
-                std::vector<double> fusedGrads(numVars * L);
                 double fusedScores[kBatchLanes];
-                fused.run(inputs.data(), width, fusedScores,
-                          fusedGrads.data(), fusedState,
+                fused.run(subs.data(), numSubs, width, fusedScores,
                           fusedPredict);
 
                 for (size_t l = 0; l < width; ++l) {
+                    const costmodel::TapeSubBatch &sub =
+                        subs[l % kTapes];
+                    const size_t j = l / kTapes;
                     EXPECT_BITEQ(fusedScores[l], refScores[l])
                         << "backend " << simd::activeBackendName()
                         << " jit " << useJit << " width " << width
                         << " lane " << l;
-                    for (size_t v = 0; v < numVars; ++v)
-                        EXPECT_BITEQ(fusedGrads[v * L + l],
-                                     refGrads[v * L + l])
+                    for (size_t v = 0; v < points[l].size(); ++v)
+                        EXPECT_BITEQ(sub.inputGrads[v * L + j],
+                                     refGrads[l][v])
                             << "backend "
                             << simd::activeBackendName() << " jit "
                             << useJit << " width " << width
@@ -394,6 +419,122 @@ TEST(JitParity, SearchRoundFusedJitVsScalarEngineBitExact)
                      got.trace.visitedScores[i]);
     EXPECT_EQ(ref.trace.roundingAttempts, got.trace.roundingAttempts);
     EXPECT_EQ(ref.trace.roundingInvalid, got.trace.roundingInvalid);
+}
+
+// ---------------------------------------------------------------
+// Packed descent: a round's seeds share lane groups whatever their
+// sketch, one MLP pass per group step. Tasks with 1, 2 and 3
+// sketches (the generator's range; FusedStepVsScalarEngine covers a
+// five-tape group), 1, 8, 17 and 33 seeds (17 and 33 take more than
+// one lane group, and their later groups start mid-cycle of the
+// sketches), --jobs 1 and 4, every backend with the JIT on — each
+// bit-identical to the scalar engine's round, over two rounds so the
+// warm-started seed is covered too.
+// ---------------------------------------------------------------
+
+TEST(JitParity, SearchRoundPackedVsScalarEngineBitExact)
+{
+    costmodel::DatasetOptions datasetOptions;
+    datasetOptions.numSubgraphs = 4;
+    datasetOptions.schedulesPerSketch = 16;
+    datasetOptions.seed = 3;
+    auto samples = costmodel::synthesizeDataset(
+        sim::deviceConfig(sim::DeviceKind::A5000), datasetOptions);
+    costmodel::MlpConfig config;
+    config.layerSizes = {82, 32, 1};
+    costmodel::CostModel model(config, 11);
+    model.fit(samples, /*epochs=*/2, /*batch=*/64, /*lr=*/1e-3);
+
+    tir::ArithCounts arith;
+    arith.add = 1;
+    const tir::SubgraphDef subgraphs[] = {
+        tir::elementwise(1 << 20, 2, arith),   // 1 sketch
+        tir::dense(4, 4, 1024, false),         // 2 sketches
+        tir::dense(128, 128, 128, false),      // 3 sketches
+    };
+
+    /** Two rounds; the second warm-starts seed 0 from round one's
+     *  first candidate when it is on sketch 0. */
+    auto twoRounds = [&](const tir::SubgraphDef &subgraph,
+                         const optim::GradSearchOptions &options) {
+        optim::GradientSearch search(subgraph, options);
+        Rng rng(2025);
+        std::vector<optim::RoundResult> results;
+        results.push_back(search.round(model, rng));
+        search.observe(results[0].toMeasure.at(0), 1e-3);
+        results.push_back(search.round(model, rng));
+        return results;
+    };
+
+    const int jobsBefore = globalJobs();
+    const std::vector<int> widths = simd::availableWidths();
+    WidthGuard restore(0);
+    for (const tir::SubgraphDef &subgraph : subgraphs) {
+        for (int nSeeds : {1, 8, 17, 33}) {
+            optim::GradSearchOptions options;
+            options.nSeeds = nSeeds;
+            options.nSteps = 10;
+            options.nMeasure = 6;
+            options.useBatch = false;
+            std::vector<optim::RoundResult> ref;
+            {
+                JitGuard jitState(false);
+                setGlobalJobs(1);
+                ref = twoRounds(subgraph, options);
+            }
+            options.useBatch = true;
+            JitGuard jitState(true);
+            for (int w : widths) {
+                ASSERT_TRUE(simd::setPreferredWidth(w));
+                for (int jobs : {1, 4}) {
+                    setGlobalJobs(jobs);
+                    const auto got = twoRounds(subgraph, options);
+                    for (size_t r = 0; r < ref.size(); ++r) {
+                        SCOPED_TRACE(::testing::Message()
+                                     << subgraph.name << " seeds "
+                                     << nSeeds << " backend "
+                                     << simd::activeBackendName()
+                                     << " jobs " << jobs << " round "
+                                     << r);
+                        const optim::RoundResult &a = ref[r];
+                        const optim::RoundResult &b = got[r];
+                        ASSERT_EQ(a.toMeasure.size(),
+                                  b.toMeasure.size());
+                        for (size_t i = 0; i < a.toMeasure.size();
+                             ++i) {
+                            const optim::Candidate &ca = a.toMeasure[i];
+                            const optim::Candidate &cb = b.toMeasure[i];
+                            EXPECT_EQ(ca.sketchIndex, cb.sketchIndex);
+                            ASSERT_EQ(ca.x.size(), cb.x.size());
+                            for (size_t v = 0; v < ca.x.size(); ++v)
+                                EXPECT_BITEQ(ca.x[v], cb.x[v]);
+                            ASSERT_EQ(ca.rawFeatures.size(),
+                                      cb.rawFeatures.size());
+                            for (size_t k = 0;
+                                 k < ca.rawFeatures.size(); ++k)
+                                EXPECT_BITEQ(ca.rawFeatures[k],
+                                             cb.rawFeatures[k]);
+                            EXPECT_BITEQ(ca.predictedScore,
+                                         cb.predictedScore);
+                        }
+                        ASSERT_EQ(a.trace.visitedScores.size(),
+                                  b.trace.visitedScores.size());
+                        for (size_t i = 0;
+                             i < a.trace.visitedScores.size(); ++i)
+                            EXPECT_BITEQ(a.trace.visitedScores[i],
+                                         b.trace.visitedScores[i]);
+                        EXPECT_EQ(a.trace.numPredictions,
+                                  b.trace.numPredictions);
+                        EXPECT_EQ(a.trace.roundingAttempts,
+                                  b.trace.roundingAttempts);
+                        EXPECT_EQ(a.trace.roundingInvalid,
+                                  b.trace.roundingInvalid);
+                    }
+                }
+            }
+        }
+    }
+    setGlobalJobs(jobsBefore);
 }
 
 // ---------------------------------------------------------------

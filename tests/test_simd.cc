@@ -310,6 +310,130 @@ TEST(SimdParity, MlpForwardAndInputGradEveryBackendEveryWidth)
 }
 
 // ---------------------------------------------------------------
+// Active-lane sweeps: the MLP layer kernels and the staged input
+// gradient over 1..kBatchLanes occupied lanes, with every padding
+// lane poisoned with NaN, must reproduce a full sweep's active lanes
+// bit for bit on every backend; padding never reaches an active
+// lane, and the kernels write nothing beyond the swept lanes.
+// ---------------------------------------------------------------
+
+TEST(SimdParity, MlpActiveLanesEveryBackend)
+{
+    constexpr size_t L = kBatchLanes;
+    const double nan = std::nan("");
+    const double sentinel = -7.25;
+    Rng rng(2468);
+    costmodel::MlpConfig config;
+    config.layerSizes = {6, 16, 8, 1};
+    costmodel::Mlp mlp(config, rng);
+    const int in = 6, out = 16;
+    std::vector<double> weights(static_cast<size_t>(in) * out),
+        bias(out);
+    for (double &v : weights)
+        v = rng.uniform(-1.0, 1.0);
+    for (double &v : bias)
+        v = rng.uniform(-0.5, 0.5);
+
+    WidthGuard restore(0);
+    for (int w : availableWidths()) {
+        ASSERT_TRUE(setPreferredWidth(w));
+        const KernelSet &kernels = activeKernels();
+        for (size_t lanes = 1; lanes <= L; ++lanes) {
+            const size_t sweep =
+                (lanes + static_cast<size_t>(w) - 1) /
+                static_cast<size_t>(w) * static_cast<size_t>(w);
+            SCOPED_TRACE(::testing::Message()
+                         << "backend " << activeBackendName()
+                         << " lanes " << lanes);
+            // Full-sweep references on finite rows, then the same
+            // active lanes with NaN padding.
+            std::vector<double> cur(static_cast<size_t>(in) * L),
+                adj(static_cast<size_t>(out) * L);
+            for (double &v : cur)
+                v = rng.uniform(-2.0, 2.0);
+            for (double &v : adj)
+                v = rng.uniform(-1.0, 1.0);
+            std::vector<double> refOut(adj.size()), refMadj(adj.size()),
+                refPrev(cur.size(), 0.0);
+            kernels.mlpForwardLayer(weights.data(), bias.data(), in,
+                                    out, true, static_cast<int>(L),
+                                    cur.data(), refOut.data());
+            kernels.mlpBackwardLayer(weights.data(), in, out, true,
+                                     static_cast<int>(L), refOut.data(),
+                                     adj.data(), refMadj.data(),
+                                     refPrev.data());
+
+            auto poison = [&](std::vector<double> &rows) {
+                for (size_t r = 0; r < rows.size() / L; ++r)
+                    for (size_t l = lanes; l < L; ++l)
+                        rows[r * L + l] = nan;
+            };
+            poison(cur);
+            poison(adj);
+            std::vector<double> gotOut(adj.size(), sentinel),
+                gotMadj(adj.size(), sentinel),
+                gotPrev(cur.size(), sentinel);
+            kernels.mlpForwardLayer(weights.data(), bias.data(), in,
+                                    out, true, static_cast<int>(lanes),
+                                    cur.data(), gotOut.data());
+            for (size_t r = 0; r < static_cast<size_t>(in); ++r)
+                for (size_t l = 0; l < sweep; ++l)
+                    gotPrev[r * L + l] = 0.0;
+            // The backward reads the reference activations with
+            // poisoned padding (the forward's own padding lanes are
+            // NaN by construction already).
+            std::vector<double> outActs = refOut;
+            poison(outActs);
+            kernels.mlpBackwardLayer(weights.data(), in, out, true,
+                                     static_cast<int>(lanes),
+                                     outActs.data(), adj.data(),
+                                     gotMadj.data(), gotPrev.data());
+            for (size_t r = 0; r < static_cast<size_t>(out); ++r) {
+                for (size_t l = 0; l < lanes; ++l) {
+                    EXPECT_BITEQ(gotOut[r * L + l], refOut[r * L + l]);
+                    EXPECT_BITEQ(gotMadj[r * L + l],
+                                 refMadj[r * L + l]);
+                }
+                for (size_t l = sweep; l < L; ++l) {
+                    EXPECT_BITEQ(gotOut[r * L + l], sentinel);
+                    EXPECT_BITEQ(gotMadj[r * L + l], sentinel);
+                }
+            }
+            for (size_t r = 0; r < static_cast<size_t>(in); ++r) {
+                for (size_t l = 0; l < lanes; ++l)
+                    EXPECT_BITEQ(gotPrev[r * L + l],
+                                 refPrev[r * L + l]);
+                for (size_t l = sweep; l < L; ++l)
+                    EXPECT_BITEQ(gotPrev[r * L + l], sentinel);
+            }
+
+            // The staged network pass: NaN padding in the input rows,
+            // scores and input gradients equal a full sweep's.
+            costmodel::MlpBatchScratch full, part;
+            double *fullRows = mlp.stageInputRows(full);
+            double *partRows = mlp.stageInputRows(part);
+            for (size_t i = 0; i < static_cast<size_t>(in); ++i) {
+                for (size_t l = 0; l < L; ++l) {
+                    fullRows[i * L + l] = rng.uniform(-3.0, 3.0);
+                    partRows[i * L + l] =
+                        l < lanes ? fullRows[i * L + l] : nan;
+                }
+            }
+            double yFull[kBatchLanes], yPart[kBatchLanes];
+            mlp.forwardInputGradStaged(yFull, L, full);
+            mlp.forwardInputGradStaged(yPart, lanes, part);
+            const double *gFull = mlp.inputGradRows(full);
+            const double *gPart = mlp.inputGradRows(part);
+            for (size_t l = 0; l < lanes; ++l) {
+                EXPECT_BITEQ(yPart[l], yFull[l]);
+                for (size_t i = 0; i < static_cast<size_t>(in); ++i)
+                    EXPECT_BITEQ(gPart[i * L + l], gFull[i * L + l]);
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------
 // Training: the MLP's Adam parameter update (through trainBatch)
 // must walk the identical trajectory on the scalar fallback and the
 // widest vector backend.
