@@ -9,7 +9,9 @@
  * the blocked kernels), and the end-to-end surrogate descent step
  * (grad_search_step: scalar reference, a 16-seed fused group with
  * and without the tape JIT, and the production shape: 8 seeds over
- * 1, 2 or 4 sketches in one packed lane group).
+ * 1, 2 or 4 sketches in one packed lane group), and the compile
+ * layer (compile_tapes: every mobilenet_v2 sketch's raw-feature and
+ * objective tapes).
  * Every batched benchmark runs once per
  * available SIMD backend (scalar fallback, SSE2, AVX2, AVX-512 —
  * whatever this build and CPU support), so one run shows the whole
@@ -38,10 +40,13 @@
 #include "costmodel/mlp.h"
 #include "expr/compiled.h"
 #include "features/features.h"
+#include "graph/graph.h"
 #include "jit/jit.h"
 #include "mlp_train_oracle.h"
+#include "models/models.h"
 #include "obs/json.h"
 #include "optim/adam.h"
+#include "optim/search.h"
 #include "rewrite/smoothing.h"
 #include "rewrite/transforms.h"
 #include "simd/kernels.h"
@@ -92,23 +97,12 @@ std::unique_ptr<expr::CompiledExprs>
 buildObjective(const sketch::SymbolicSchedule &sched, bool penalties)
 {
     auto names = varNames(sched);
-    std::vector<expr::Expr> outputs;
-    for (const expr::Expr &feature :
-         features::extractFeatures(sched.program)) {
-        expr::Expr smooth =
-            rewrite::makeSmooth(feature, rewrite::Kernel::Algebraic);
-        expr::Expr logged = rewrite::logExpand(smooth);
-        logged = rewrite::expSubstituteVars(logged, names);
-        outputs.push_back(
-            rewrite::smoothMax0(logged, rewrite::Kernel::Algebraic));
-    }
-    if (penalties) {
-        for (const expr::Expr &g : sched.constraints)
-            outputs.push_back(rewrite::expSubstituteVars(
-                rewrite::makeSmooth(g, rewrite::Kernel::Algebraic),
-                names));
-    }
-    return std::make_unique<expr::CompiledExprs>(outputs, names);
+    return std::make_unique<expr::CompiledExprs>(
+        rewrite::objectiveFormulas(
+            features::extractFeatures(sched.program),
+            penalties ? sched.constraints : std::vector<expr::Expr>{},
+            names, rewrite::Kernel::Algebraic, true, true),
+        names);
 }
 
 /** The dense sketch's descent tape without penalties. */
@@ -574,6 +568,49 @@ BM_AdamStep(benchmark::State &state)
         benchmark::Counter::kIsRate);
 }
 
+/**
+ * The compile layer on one thread: every sketch of mobilenet_v2 at
+ * batch 1 goes through what GradientSearch's constructor does per
+ * sketch — feature extraction, the forward-only raw-feature tape and
+ * the objective tape (features and constraints). The sketches are
+ * generated once, and one untimed pass warms the intern table, as a
+ * long-running tuner or daemon has it from its second tune on.
+ */
+void
+BM_CompileTapes(benchmark::State &state)
+{
+    static const auto sketches = [] {
+        const optim::GradSearchOptions options;
+        std::vector<sketch::SymbolicSchedule> all;
+        for (const graph::Task &task :
+             graph::partition(models::mobilenetV2(1))) {
+            for (auto &sched : sketch::generateSketches(
+                     task.subgraph, options.sketchOptions))
+                all.push_back(std::move(sched));
+        }
+        return all;
+    }();
+    const optim::GradSearchOptions options;
+    auto compileAll = [&] {
+        for (const auto &sched : sketches) {
+            const auto names = varNames(sched);
+            const auto raw = features::extractFeatures(sched.program);
+            expr::CompiledExprs rawTape(raw, names, /*forward_only=*/true);
+            expr::CompiledExprs objective(
+                rewrite::objectiveFormulas(
+                    raw, sched.constraints, names, options.kernel,
+                    options.applySmoothing, options.applyLogExp),
+                names);
+            benchmark::DoNotOptimize(rawTape.program().instrs.data());
+            benchmark::DoNotOptimize(objective.program().instrs.data());
+        }
+    };
+    compileAll();
+    for (auto _ : state)
+        compileAll();
+    state.counters["sketches"] = static_cast<double>(sketches.size());
+}
+
 // ---- per-width registration and JSON capture --------------------
 
 /** simd_width / backend attached to each registered benchmark. */
@@ -742,6 +779,7 @@ main(int argc, char **argv)
                           BM_GradSearchStepPacked<2>);
     registerWidthVariants("grad_search_step/packed/sketches=4",
                           BM_GradSearchStepPacked<4>);
+    registerScalarEngine("compile_tapes/mobilenet_v2", BM_CompileTapes);
 
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv))

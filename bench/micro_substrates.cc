@@ -69,7 +69,7 @@ BM_SmoothingPipeline(benchmark::State &state)
     auto names = varNames(sched);
     auto raw = features::extractFeatures(sched.program);
     for (auto _ : state) {
-        auto out = rewrite::featurePipeline(raw[0], names);
+        auto out = rewrite::featurePipeline({raw[0]}, names);
         benchmark::DoNotOptimize(out);
     }
 }
@@ -96,10 +96,10 @@ BM_TapeForwardBackward(benchmark::State &state)
 {
     const auto &sched = denseSketch();
     auto names = varNames(sched);
-    std::vector<expr::Expr> outputs;
-    for (const auto &f : features::extractFeatures(sched.program))
-        outputs.push_back(rewrite::featurePipeline(f, names));
-    expr::CompiledExprs tape(outputs, names);
+    expr::CompiledExprs tape(
+        rewrite::featurePipeline(features::extractFeatures(sched.program),
+                                 names),
+        names);
     std::vector<double> x(names.size(), 1.0);
     std::vector<double> out, seed, grads;
     for (auto _ : state) {

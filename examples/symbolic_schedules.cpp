@@ -68,9 +68,8 @@ main()
                 rewrite::isSmooth(smooth) ? "yes" : "no");
 
     // Full pipeline: smooth -> log expand -> x = e^y substitution.
-    expr::Expr pipelined =
-        rewrite::featurePipeline(features[intAdd], names);
-    expr::CompiledExprs tape({pipelined}, names);
+    expr::CompiledExprs tape(
+        rewrite::featurePipeline({features[intAdd]}, names), names);
     std::vector<double> y(names.size(), std::log(4.0));
     std::vector<double> out, grads;
     tape.forward(y, out);

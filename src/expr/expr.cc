@@ -587,86 +587,106 @@ collectVars(const std::vector<Expr> &roots)
     return names;
 }
 
+namespace {
+
+/** Rebuild a node of opcode @p op over new operands through the
+ * public constructors, so folding and simplification re-apply. */
+Expr
+rebuild(OpCode op, const std::vector<Expr> &a)
+{
+    switch (op) {
+      case OpCode::Add: return add(a[0], a[1]);
+      case OpCode::Sub: return sub(a[0], a[1]);
+      case OpCode::Mul: return mul(a[0], a[1]);
+      case OpCode::Div: return div(a[0], a[1]);
+      case OpCode::Pow: return pow(a[0], a[1]);
+      case OpCode::Min: return min(a[0], a[1]);
+      case OpCode::Max: return max(a[0], a[1]);
+      case OpCode::Neg: return neg(a[0]);
+      case OpCode::Log: return log(a[0]);
+      case OpCode::Exp: return exp(a[0]);
+      case OpCode::Sqrt: return sqrt(a[0]);
+      case OpCode::Abs: return abs(a[0]);
+      case OpCode::Floor: return floor(a[0]);
+      case OpCode::Atan: return atan(a[0]);
+      case OpCode::Sigmoid: return sigmoid(a[0]);
+      case OpCode::Lt: return lt(a[0], a[1]);
+      case OpCode::Le: return le(a[0], a[1]);
+      case OpCode::Gt: return gt(a[0], a[1]);
+      case OpCode::Ge: return ge(a[0], a[1]);
+      case OpCode::Eq: return eq(a[0], a[1]);
+      case OpCode::Ne: return ne(a[0], a[1]);
+      case OpCode::Select: return select(a[0], a[1], a[2]);
+      case OpCode::ConstOp:
+      case OpCode::VarOp:
+        break;
+    }
+    panic("leaf with arguments");
+}
+
+} // namespace
+
+std::vector<Expr>
+substitute(const std::vector<Expr> &roots,
+           const std::vector<std::pair<std::string, Expr>> &map,
+           size_t *nodes_visited)
+{
+    std::unordered_map<std::string, Expr> lookup(map.begin(), map.end());
+    std::unordered_map<const ExprNode *, Expr> memo;
+    auto replace = [&](const Expr &node) -> Expr {
+        if (node.isVar()) {
+            auto it = lookup.find(node.varName());
+            return it != lookup.end() ? it->second : node;
+        }
+        if (node->args().empty())
+            return node;
+        std::vector<Expr> newArgs;
+        newArgs.reserve(node->args().size());
+        bool changed = false;
+        for (const Expr &arg : node->args()) {
+            const Expr &sub = memo.at(arg.get());
+            changed |= !sub.same(arg);
+            newArgs.push_back(sub);
+        }
+        return changed ? rebuild(node->op(), newArgs) : node;
+    };
+
+    // Iterative post-order DFS (feature formulas can be deep); the
+    // memo doubles as the visited set. Stack entries point into the
+    // roots and into the argument lists of live nodes.
+    std::vector<std::pair<const Expr *, size_t>> stack;
+    std::vector<Expr> out;
+    out.reserve(roots.size());
+    for (const Expr &root : roots) {
+        if (!root.defined()) {
+            out.push_back(root);
+            continue;
+        }
+        if (!memo.count(root.get()))
+            stack.emplace_back(&root, 0);
+        while (!stack.empty()) {
+            auto &[node, child] = stack.back();
+            if (child < (*node)->args().size()) {
+                const Expr *next = &(*node)->args()[child++];
+                if (!memo.count(next->get()))
+                    stack.emplace_back(next, 0);
+                continue;
+            }
+            memo.emplace(node->get(), replace(*node));
+            stack.pop_back();
+        }
+        out.push_back(memo.at(root.get()));
+    }
+    if (nodes_visited)
+        *nodes_visited = memo.size();
+    return out;
+}
+
 Expr
 substitute(const Expr &root,
            const std::vector<std::pair<std::string, Expr>> &map)
 {
-    std::unordered_map<std::string, Expr> lookup(map.begin(), map.end());
-    std::unordered_map<const ExprNode *, Expr> memo;
-    std::unordered_set<const ExprNode *> seen;
-    Expr result;
-    visitPostorder(root, seen, [&](const Expr &node) {
-        Expr replaced;
-        if (node.isVar()) {
-            auto it = lookup.find(node.varName());
-            replaced = (it != lookup.end()) ? it->second : node;
-        } else if (node->args().empty()) {
-            replaced = node;
-        } else {
-            std::vector<Expr> newArgs;
-            newArgs.reserve(node->args().size());
-            bool changed = false;
-            for (const Expr &arg : node->args()) {
-                const Expr &sub = memo.at(arg.get());
-                changed |= !sub.same(arg);
-                newArgs.push_back(sub);
-            }
-            if (!changed) {
-                replaced = node;
-            } else {
-                // Rebuild through the public constructors so folding
-                // and simplification re-apply.
-                switch (node->op()) {
-                  case OpCode::Add:
-                    replaced = add(newArgs[0], newArgs[1]); break;
-                  case OpCode::Sub:
-                    replaced = sub(newArgs[0], newArgs[1]); break;
-                  case OpCode::Mul:
-                    replaced = mul(newArgs[0], newArgs[1]); break;
-                  case OpCode::Div:
-                    replaced = div(newArgs[0], newArgs[1]); break;
-                  case OpCode::Pow:
-                    replaced = pow(newArgs[0], newArgs[1]); break;
-                  case OpCode::Min:
-                    replaced = min(newArgs[0], newArgs[1]); break;
-                  case OpCode::Max:
-                    replaced = max(newArgs[0], newArgs[1]); break;
-                  case OpCode::Neg: replaced = neg(newArgs[0]); break;
-                  case OpCode::Log: replaced = log(newArgs[0]); break;
-                  case OpCode::Exp: replaced = exp(newArgs[0]); break;
-                  case OpCode::Sqrt: replaced = sqrt(newArgs[0]); break;
-                  case OpCode::Abs: replaced = abs(newArgs[0]); break;
-                  case OpCode::Floor: replaced = floor(newArgs[0]); break;
-                  case OpCode::Atan: replaced = atan(newArgs[0]); break;
-                  case OpCode::Sigmoid:
-                    replaced = sigmoid(newArgs[0]); break;
-                  case OpCode::Lt:
-                    replaced = lt(newArgs[0], newArgs[1]); break;
-                  case OpCode::Le:
-                    replaced = le(newArgs[0], newArgs[1]); break;
-                  case OpCode::Gt:
-                    replaced = gt(newArgs[0], newArgs[1]); break;
-                  case OpCode::Ge:
-                    replaced = ge(newArgs[0], newArgs[1]); break;
-                  case OpCode::Eq:
-                    replaced = eq(newArgs[0], newArgs[1]); break;
-                  case OpCode::Ne:
-                    replaced = ne(newArgs[0], newArgs[1]); break;
-                  case OpCode::Select:
-                    replaced = select(newArgs[0], newArgs[1], newArgs[2]);
-                    break;
-                  case OpCode::ConstOp:
-                  case OpCode::VarOp:
-                    panic("leaf with arguments");
-                }
-            }
-        }
-        memo.emplace(node.get(), replaced);
-        result = replaced;
-    });
-    if (!root.defined())
-        return root;
-    return memo.at(root.get());
+    return substitute(std::vector<Expr>{root}, map)[0];
 }
 
 size_t

@@ -185,7 +185,19 @@ double evalOp(OpCode op, const double *args);
 /** Collect the distinct variables reachable from the given roots. */
 std::vector<std::string> collectVars(const std::vector<Expr> &roots);
 
-/** Substitute variables by expressions (name -> replacement). */
+/**
+ * Substitute variables by expressions (name -> replacement) in every
+ * root. One memo spans all roots, so a subterm the roots share is
+ * rebuilt once; result i is the same node substitute(roots[i], map)
+ * returns. When @p nodes_visited is given it receives the number of
+ * distinct nodes visited (the memo's size).
+ */
+std::vector<Expr>
+substitute(const std::vector<Expr> &roots,
+           const std::vector<std::pair<std::string, Expr>> &map,
+           size_t *nodes_visited = nullptr);
+
+/** substitute of one root. */
 Expr substitute(const Expr &root,
                 const std::vector<std::pair<std::string, Expr>> &map);
 

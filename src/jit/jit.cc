@@ -3,8 +3,9 @@
  * The copy-and-patch tape JIT: a small fixed-shape AVX2 emitter.
  *
  * Layout contract (identical to the interpreter kernels): slot rows
- * of kBatchLanes doubles, so slot s lives at byte offset s * 128
- * inside the vals/adjs buffers; each row is processed as four
+ * of kBatchLanes doubles, so slot s lives at byte offset
+ * s * kBatchLanes * 8 inside the vals/adjs buffers (s * 128 at the
+ * default 16 lanes); each row is processed as kBatchLanes / 4
  * 256-bit chunks.
  *
  * Emitted forward function, SysV x86-64:
@@ -13,11 +14,11 @@
  * instruction either an inline body (the exact instruction sequence
  * of the opk::fwd*V kernels — see the per-op emitters below) or a
  * call to a libm-backed stencil. ymm12..15 mirror the previous
- * instruction's result row across chunks, so consecutive
- * instructions in the tape's dependent chain forward through
- * registers instead of a store-to-load round trip — the same trick
- * the C == 1 interpreter plays (kernels_impl.h), here applied at all
- * four chunks because straight-line code has no per-instruction
+ * instruction's result row across its first four chunks, so
+ * consecutive instructions in the tape's dependent chain forward
+ * through registers instead of a store-to-load round trip — the same
+ * trick the C == 1 interpreter plays (kernels_impl.h), here applied
+ * at four chunks because straight-line code has no per-instruction
  * dispatch to pay for the extra live registers. The mirror is
  * invalidated across stencil calls (all ymm are caller-saved).
  * Register copies never change bits, so forwarding is invisible to
@@ -139,6 +140,10 @@ alignas(64) const double kConsts[] = {
 constexpr int kRowBytes =
     static_cast<int>(kBatchLanes) * static_cast<int>(sizeof(double));
 constexpr int kChunks = static_cast<int>(kBatchLanes) / 4;
+/** Chunks whose result the forward emitter mirrors in ymm12..15.
+ *  VEX encodes ymm0..15 only, so rows wider than 16 lanes compute
+ *  their remaining chunks in ymm6 and are reloaded from memory. */
+constexpr int kMirrorChunks = kChunks < 4 ? kChunks : 4;
 
 /** Minimal x86-64 assembler: only the encodings the two emitters
  *  need. All vector ops are VEX.256.66; ymm operands 0..15. */
@@ -414,8 +419,8 @@ cmpPredicate(expr::OpCode op)
 
 /** Forward emitter. Register plan per instruction: operands copied
  *  into ymm0/1/2, hoisted broadcast constants in ymm3..5, scratch
- *  ymm8..11, result written to ymm12+chunk (the forwarding mirror)
- *  and stored to the destination row. */
+ *  ymm8..11, result written to ymm12+chunk (the forwarding mirror;
+ *  ymm6 past the fourth chunk) and stored to the destination row. */
 void
 emitForward(Asm &a, const expr::TapeProgram &program)
 {
@@ -431,7 +436,7 @@ emitForward(Asm &a, const expr::TapeProgram &program)
         const int32_t dispOut =
             static_cast<int32_t>(slot) * kRowBytes;
         const auto load = [&](int dst, int32_t src, int ch) {
-            if (lastValid && src == prev)
+            if (lastValid && src == prev && ch < kMirrorChunks)
                 a.vmovapd(dst, 12 + ch);
             else
                 a.vmovupdLoad(dst, kRbx, src * kRowBytes + ch * 32);
@@ -487,7 +492,7 @@ emitForward(Asm &a, const expr::TapeProgram &program)
         }
 
         for (int ch = 0; ch < kChunks; ++ch) {
-            const int R = 12 + ch;
+            const int R = ch < kMirrorChunks ? 12 + ch : 6;
             load(0, instr.a0, ch);
             switch (instr.op) {
               case expr::OpCode::Add:

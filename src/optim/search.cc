@@ -12,7 +12,6 @@
 #include "optim/dedup.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "rewrite/smoothing.h"
 #include "rewrite/transforms.h"
 #include "support/logging.h"
 #include "support/parallel.h"
@@ -152,33 +151,9 @@ GradientSearch::GradientSearch(const tir::SubgraphDef &subgraph,
         // log(max(f,1)) composed with the e^y substitution, plus the
         // smoothed legality constraints g_ir(e^y). The ablation
         // knobs can disable either rewrite stage.
-        std::vector<Expr> outputs;
-        outputs.reserve(raw.size() + sched.constraints.size());
-        for (const Expr &f : raw) {
-            Expr base = options_.applySmoothing
-                            ? rewrite::makeSmooth(f, options_.kernel)
-                            : f;
-            Expr logged = rewrite::logExpand(base);
-            if (options_.applyLogExp) {
-                logged = rewrite::expSubstituteVars(
-                    logged, context.varNames);
-            }
-            outputs.push_back(options_.applySmoothing
-                                  ? rewrite::smoothMax0(
-                                        logged, options_.kernel)
-                                  : expr::max(logged,
-                                              Expr::constant(0.0)));
-        }
-        for (const Expr &g : sched.constraints) {
-            Expr smooth = options_.applySmoothing
-                              ? rewrite::makeSmooth(g, options_.kernel)
-                              : g;
-            if (options_.applyLogExp) {
-                smooth = rewrite::expSubstituteVars(
-                    smooth, context.varNames);
-            }
-            outputs.push_back(smooth);
-        }
+        std::vector<Expr> outputs = rewrite::objectiveFormulas(
+            raw, sched.constraints, context.varNames, options_.kernel,
+            options_.applySmoothing, options_.applyLogExp);
         context.numPenalties = sched.constraints.size();
         context.objective = std::make_unique<expr::CompiledExprs>(
             outputs, context.varNames);

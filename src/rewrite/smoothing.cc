@@ -3,6 +3,7 @@
 #include <cmath>
 #include <unordered_map>
 
+#include "obs/metrics.h"
 #include "support/logging.h"
 
 namespace felix {
@@ -275,12 +276,26 @@ checkSmooth(const Expr &e,
 
 } // namespace
 
+std::vector<Expr>
+makeSmooth(const std::vector<Expr> &roots, Kernel kernel)
+{
+    std::unordered_map<const ExprNode *, Expr> memo;
+    std::vector<Expr> out;
+    out.reserve(roots.size());
+    for (const Expr &root : roots) {
+        FELIX_CHECK(root.defined(), "makeSmooth on undefined expression");
+        out.push_back(rewriteNode(root, kernel, memo));
+    }
+    obs::MetricsRegistry::instance()
+        .counter("rewrite.nodes_rewritten")
+        .add(static_cast<double>(memo.size()));
+    return out;
+}
+
 Expr
 makeSmooth(const Expr &root, Kernel kernel)
 {
-    FELIX_CHECK(root.defined(), "makeSmooth on undefined expression");
-    std::unordered_map<const ExprNode *, Expr> memo;
-    return rewriteNode(root, kernel, memo);
+    return makeSmooth(std::vector<Expr>{root}, kernel)[0];
 }
 
 bool

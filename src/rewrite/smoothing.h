@@ -25,6 +25,8 @@
 #ifndef FELIX_REWRITE_SMOOTHING_H_
 #define FELIX_REWRITE_SMOOTHING_H_
 
+#include <vector>
+
 #include "expr/expr.h"
 
 namespace felix {
@@ -57,12 +59,21 @@ expr::Expr smoothMin(const expr::Expr &a, const expr::Expr &b,
 expr::Expr smoothAbs(const expr::Expr &x, Kernel kernel);
 
 /**
- * Rewrite @p root bottom-up, replacing every non-differentiable
+ * Rewrite every root bottom-up, replacing every non-differentiable
  * operator (Min, Max, Abs, Floor, Select-with-comparison-condition,
- * bare comparisons) with its smooth version. The result contains
+ * bare comparisons) with its smooth version. The results contain
  * only differentiable opcodes; expressions that are already smooth
  * are returned unchanged (same interned node).
+ *
+ * One memo spans all roots, so a subterm the roots share is
+ * rewritten once. The rewrite of a node depends on nothing but the
+ * node, so result i is the same node makeSmooth(roots[i]) returns.
+ * Adds the memo's size to the `rewrite.nodes_rewritten` counter.
  */
+std::vector<expr::Expr> makeSmooth(const std::vector<expr::Expr> &roots,
+                                   Kernel kernel = Kernel::Algebraic);
+
+/** makeSmooth of one root. */
 expr::Expr makeSmooth(const expr::Expr &root,
                       Kernel kernel = Kernel::Algebraic);
 

@@ -1,7 +1,9 @@
 #include "rewrite/transforms.h"
 
+#include <algorithm>
 #include <unordered_map>
 
+#include "obs/metrics.h"
 #include "rewrite/smoothing.h"
 #include "support/logging.h"
 
@@ -13,6 +15,14 @@ using expr::ExprNode;
 using expr::OpCode;
 
 namespace {
+
+void
+countRewritten(size_t nodes)
+{
+    obs::MetricsRegistry::instance()
+        .counter("rewrite.nodes_rewritten")
+        .add(static_cast<double>(nodes));
+}
 
 bool
 positiveNode(const Expr &e,
@@ -120,23 +130,45 @@ provablyPositive(const Expr &e)
     return positiveNode(e, memo);
 }
 
-Expr
-logExpand(const Expr &feature)
+std::vector<Expr>
+logExpand(const std::vector<Expr> &features)
 {
-    FELIX_CHECK(feature.defined());
     std::unordered_map<const ExprNode *, bool> posMemo;
     std::unordered_map<const ExprNode *, Expr> memo;
-    return logNode(feature, posMemo, memo);
+    std::vector<Expr> out;
+    out.reserve(features.size());
+    for (const Expr &feature : features) {
+        FELIX_CHECK(feature.defined());
+        out.push_back(logNode(feature, posMemo, memo));
+    }
+    countRewritten(memo.size());
+    return out;
 }
 
 Expr
-expSubstituteVars(const Expr &root, const std::vector<std::string> &vars)
+logExpand(const Expr &feature)
+{
+    return logExpand(std::vector<Expr>{feature})[0];
+}
+
+std::vector<Expr>
+expSubstituteVars(const std::vector<Expr> &roots,
+                  const std::vector<std::string> &vars)
 {
     std::vector<std::pair<std::string, Expr>> map;
     map.reserve(vars.size());
     for (const std::string &name : vars)
         map.emplace_back(name, expr::exp(Expr::var(name)));
-    return expr::substitute(root, map);
+    size_t visited = 0;
+    std::vector<Expr> out = expr::substitute(roots, map, &visited);
+    countRewritten(visited);
+    return out;
+}
+
+Expr
+expSubstituteVars(const Expr &root, const std::vector<std::string> &vars)
+{
+    return expSubstituteVars(std::vector<Expr>{root}, vars)[0];
 }
 
 Expr
@@ -146,13 +178,38 @@ penalty(const Expr &g)
     return clipped * clipped;
 }
 
-Expr
-featurePipeline(const Expr &raw_feature,
+std::vector<Expr>
+featurePipeline(const std::vector<Expr> &raw_features,
                 const std::vector<std::string> &vars)
 {
-    Expr smooth = makeSmooth(raw_feature);
-    Expr logged = logExpand(smooth);
-    return expSubstituteVars(logged, vars);
+    return expSubstituteVars(logExpand(makeSmooth(raw_features)), vars);
+}
+
+std::vector<Expr>
+objectiveFormulas(const std::vector<Expr> &features,
+                  const std::vector<Expr> &constraints,
+                  const std::vector<std::string> &vars, Kernel kernel,
+                  bool apply_smoothing, bool apply_log_exp)
+{
+    obs::ScopedTimerMs timer(
+        obs::MetricsRegistry::instance().counter("rewrite.objective_ms"));
+    const size_t numFeatures = features.size();
+    std::vector<Expr> formulas = features;
+    formulas.insert(formulas.end(), constraints.begin(),
+                    constraints.end());
+    if (apply_smoothing)
+        formulas = makeSmooth(formulas, kernel);
+    std::vector<Expr> logged = logExpand(std::vector<Expr>(
+        formulas.begin(), formulas.begin() + numFeatures));
+    std::copy(logged.begin(), logged.end(), formulas.begin());
+    if (apply_log_exp)
+        formulas = expSubstituteVars(formulas, vars);
+    for (size_t i = 0; i < numFeatures; ++i) {
+        formulas[i] = apply_smoothing
+                          ? smoothMax0(formulas[i], kernel)
+                          : expr::max(formulas[i], Expr::constant(0.0));
+    }
+    return formulas;
 }
 
 } // namespace rewrite

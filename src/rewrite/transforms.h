@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "expr/expr.h"
+#include "rewrite/smoothing.h"
 
 namespace felix {
 namespace rewrite {
@@ -34,22 +35,36 @@ namespace rewrite {
 bool provablyPositive(const expr::Expr &e);
 
 /**
- * log(feature), expanded structurally where positivity allows:
+ * log(feature) of every feature, expanded structurally where
+ * positivity allows:
  *   log(a*b) -> log a + log b        log(a/b) -> log a - log b
  *   log(a^b) -> b * log a            log(exp a) -> a
  *   log(sqrt a) -> log(a) / 2
  * Subterms that cannot be proven positive stay under a (safe) log.
+ * One log memo and one positivity memo span all features; result i
+ * is the same node logExpand(features[i]) returns. Adds the log
+ * memo's size to the `rewrite.nodes_rewritten` counter.
  */
+std::vector<expr::Expr> logExpand(const std::vector<expr::Expr> &features);
+
+/** logExpand of one feature. */
 expr::Expr logExpand(const expr::Expr &feature);
 
 /**
  * Exponential variable substitution x = e^y.
  *
- * Replaces every variable in @p vars by exp(var). Variable names are
+ * Replaces every variable in @p vars by exp(var) in every root, with
+ * one memo over all roots (expr::substitute). Variable names are
  * kept; after this rewrite the optimizer's values are interpreted in
  * log space. When applied after logExpand, occurrences log(exp(v))
  * collapse to v, so tile-size products become sums of log variables.
+ * Adds the number of nodes visited to `rewrite.nodes_rewritten`.
  */
+std::vector<expr::Expr>
+expSubstituteVars(const std::vector<expr::Expr> &roots,
+                  const std::vector<std::string> &vars);
+
+/** expSubstituteVars of one root. */
 expr::Expr expSubstituteVars(const expr::Expr &root,
                              const std::vector<std::string> &vars);
 
@@ -62,11 +77,36 @@ expr::Expr expSubstituteVars(const expr::Expr &root,
 expr::Expr penalty(const expr::Expr &g);
 
 /**
- * The full Felix feature pipeline for one formula:
- * smooth -> log-expand -> e^y substitution.
+ * The Felix feature pipeline over a set of formulas, with the
+ * algebraic kernel: smooth -> log-expand -> e^y substitution.
  */
-expr::Expr featurePipeline(const expr::Expr &raw_feature,
-                           const std::vector<std::string> &vars);
+std::vector<expr::Expr>
+featurePipeline(const std::vector<expr::Expr> &raw_features,
+                const std::vector<std::string> &vars);
+
+/**
+ * One sketch's differentiable objective (paper §3.3): the model
+ * inputs, then the legality constraints, as GradientSearch
+ * compiles them into its objective tape.
+ *
+ * Feature i becomes smoothMax0(e^y-substituted log-expanded smooth
+ * f_i), the smoothed log(max(f, 1)); constraint j becomes the
+ * e^y-substituted smooth g_j. With @p apply_smoothing off, the
+ * smoothing rewrite is skipped and max(., 0) replaces smoothMax0;
+ * with @p apply_log_exp off, the e^y substitution is skipped (the
+ * ablation knobs). Each pass runs once over all formulas of the
+ * sketch with one memo, so shared subterms (loop extents,
+ * footprints, tile products) are rewritten once; because every pass
+ * is a pure function of the node it visits and nodes are
+ * hash-consed, the results are the same nodes the per-formula
+ * composition of the single-root passes returns. The time spent is
+ * added to the `rewrite.objective_ms` counter.
+ */
+std::vector<expr::Expr>
+objectiveFormulas(const std::vector<expr::Expr> &features,
+                  const std::vector<expr::Expr> &constraints,
+                  const std::vector<std::string> &vars, Kernel kernel,
+                  bool apply_smoothing, bool apply_log_exp);
 
 } // namespace rewrite
 } // namespace felix

@@ -249,9 +249,7 @@ TEST(Pipeline, SmoothedFeaturesTrackRawOnes)
         names.push_back(domain.name);
 
     auto raw = extractFeatures(sched.program);
-    std::vector<Expr> pipelined;
-    for (const Expr &f : raw)
-        pipelined.push_back(rewrite::featurePipeline(f, names));
+    std::vector<Expr> pipelined = rewrite::featurePipeline(raw, names);
 
     std::vector<double> x(sched.vars.size(), 1.0);
     x[sched.varIndex("f_th")] = 64.0;
@@ -286,9 +284,7 @@ TEST(Pipeline, SmoothedFeaturesHaveGradients)
     for (const auto &domain : sched.vars)
         names.push_back(domain.name);
     auto raw = extractFeatures(sched.program);
-    std::vector<Expr> pipelined;
-    for (const Expr &f : raw)
-        pipelined.push_back(rewrite::featurePipeline(f, names));
+    std::vector<Expr> pipelined = rewrite::featurePipeline(raw, names);
     expr::CompiledExprs compiled(pipelined, names);
 
     std::vector<double> y(names.size(), std::log(4.0));

@@ -208,10 +208,8 @@ TEST_P(ShapeSweep, SmoothedObjectiveHasFiniteGradients)
     for (const auto &domain : sched.vars)
         names.push_back(domain.name);
     auto raw = features::extractFeatures(sched.program);
-    std::vector<expr::Expr> outputs;
-    for (const auto &f : raw)
-        outputs.push_back(rewrite::featurePipeline(f, names));
-    expr::CompiledExprs compiled(outputs, names);
+    expr::CompiledExprs compiled(rewrite::featurePipeline(raw, names),
+                                 names);
 
     Rng rng(41);
     std::vector<double> out, grads;

@@ -11,6 +11,7 @@
 #include "autodiff/gradcheck.h"
 #include "expr/compiled.h"
 #include "expr/expr.h"
+#include "obs/metrics.h"
 #include "rewrite/smoothing.h"
 #include "rewrite/transforms.h"
 
@@ -303,7 +304,7 @@ TEST(FeaturePipeline, EndToEndProducesSmoothAdditiveFormula)
     Expr intAdd = n * m * k *
                   expr::select(expr::gt(tile, Expr::constant(1.0)),
                                Expr::constant(5.0), Expr::constant(2.0));
-    Expr out = featurePipeline(intAdd, {"TILE0"});
+    Expr out = featurePipeline({intAdd}, {"TILE0"})[0];
     EXPECT_TRUE(isSmooth(out));
 
     // At TILE0 = ln(8) (log space), the raw feature is 64^3 * 5.
@@ -320,7 +321,7 @@ TEST(FeaturePipeline, LinearGrowthInLogSpace)
     // float_add = N*M*K with all three as variables: in log space the
     // pipeline output is exactly N+M+K (linear growth, stable grads).
     Expr f = Expr::var("N") * Expr::var("M") * Expr::var("K");
-    Expr out = featurePipeline(f, {"N", "M", "K"});
+    Expr out = featurePipeline({f}, {"N", "M", "K"})[0];
     double v1 = evalExpr(out, {{"N", 1.0}, {"M", 2.0}, {"K", 3.0}});
     EXPECT_NEAR(v1, 6.0, 1e-9);
     expr::CompiledExprs compiled({out});
@@ -332,6 +333,28 @@ TEST(FeaturePipeline, LinearGrowthInLogSpace)
     EXPECT_NEAR(g[0], 1.0, 1e-9);
     EXPECT_NEAR(g[1], 1.0, 1e-9);
     EXPECT_NEAR(g[2], 1.0, 1e-9);
+}
+
+TEST(FeaturePipeline, SharedSubtermsAreRewrittenOnce)
+{
+    // Two formulas over one non-smooth subterm: the batched passes
+    // rewrite it once, the per-formula passes once per formula, and
+    // both return the same nodes.
+    Expr shared = expr::min(Expr::var("T") * 4.0, Expr::constant(64.0)) *
+                  Expr::var("N");
+    const std::vector<Expr> roots = {shared + 1.0, shared * 3.0};
+    const std::vector<std::string> vars = {"N", "T"};
+    obs::Counter &rewritten = obs::MetricsRegistry::instance().counter(
+        "rewrite.nodes_rewritten");
+    const double start = rewritten.value();
+    const auto batched = featurePipeline(roots, vars);
+    const double batchedCount = rewritten.value() - start;
+    for (size_t i = 0; i < roots.size(); ++i)
+        EXPECT_TRUE(featurePipeline({roots[i]}, vars)[0].same(batched[i]));
+    const double perFormulaCount =
+        rewritten.value() - start - batchedCount;
+    EXPECT_GT(batchedCount, 0.0);
+    EXPECT_LT(batchedCount, perFormulaCount);
 }
 
 /** Kernel sweep: smoothing must be differentiable for every kernel. */
